@@ -1,7 +1,9 @@
 """Dataset container, synthetic generators, noise injection, CSV round-trip.
 
 On disk a dataset is a JSON manifest plus one headerless numeric CSV per
-view and an optional one-column integer label CSV. Manifest keys:
+view and an optional one-column integer label CSV. Labels may use any
+integer coding; loading maps them to contiguous classes 0..k-1 in sorted
+order. Manifest keys:
 
     {"name": str, "views": [relative csv paths], "labels": path or null}
 
@@ -10,6 +12,7 @@ Paths are resolved relative to the manifest's directory.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +144,13 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _line_of_row(path: Path, row: int) -> int:
+    """1-based line number of data row `row` (0-based); blank lines are not rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data_lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(data_lines, row, None))
+
+
 def _is_float(cell: str) -> bool:
     try:
         float(cell)
@@ -169,18 +179,24 @@ def load_multiview(manifest_path) -> MultiViewDataset:
         raise ValueError(f"view row counts disagree ({detail})")
     labels = None
     if manifest.get("labels"):
-        label_mat = _read_numeric_csv(base / manifest["labels"])
+        label_path = base / manifest["labels"]
+        label_mat = _read_numeric_csv(label_path)
         if label_mat.shape[1] != 1:
             raise ValueError(
-                f"{base / manifest['labels']}: label file must have one column, "
-                f"got {label_mat.shape[1]}"
+                f"{label_path}: label file must have one column, got {label_mat.shape[1]}"
             )
         if label_mat.shape[0] != views[0].shape[0]:
             raise ValueError(
                 f"label rows ({label_mat.shape[0]}) disagree with view rows "
                 f"({views[0].shape[0]})"
             )
-        labels = label_mat[:, 0].astype(np.int64)
+        raw = label_mat[:, 0]
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.rint(raw)))
+        if bad.size:
+            line = _line_of_row(label_path, int(bad[0]))
+            raise ValueError(f"{label_path}:{line}: label {raw[bad[0]]!r} is not an integer")
+        # any integer coding (1-based, gaps, negatives) becomes classes 0..k-1
+        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
     return MultiViewDataset(views, labels, name=manifest.get("name", "dataset"))
 
 

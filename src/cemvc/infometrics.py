@@ -1,7 +1,8 @@
 """Entropy and mutual-information estimators used to score views.
 
 Continuous entropies come from a leave-one-out Gaussian-product-kernel
-density (Silverman bandwidths, resubstitution average of -log density).
+density (Silverman bandwidths, resubstitution average of -log density),
+computed in row blocks so that memory stays O(n * block).
 Discrete quantities operate on hard label vectors via contingency counts.
 All values are in nats.
 """
@@ -12,12 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .numcore import as_matrix
 
 SIGMA_FLOOR = 1e-6
 _LOG_2PI = np.log(2.0 * np.pi)
+_BLOCK_CELLS = 1 << 18  # distance cells per row block: 2 MiB of float64, about one L2
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,39 @@ def silverman_bandwidths(samples: np.ndarray) -> np.ndarray:
     return 1.06 * sigma * n ** (-1.0 / (4.0 + d))
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-D array with finite row maxima, overwriting `a`.
+
+    The arithmetic is that of scipy.special.logsumexp (as of scipy 1.17),
+    bit for bit, without its copies: the m cells equal to a row's maximum
+    leave the sum s, and the result is log1p(s / m) + log(m) + max. Rows
+    whose maximum is tied take a slower path; m is 1 everywhere else.
+    """
+    rows = np.arange(a.shape[0])
+    first = a.argmax(axis=1)
+    a_max = a[rows, first]
+    a[rows, first] = -np.inf
+    m = np.ones(a.shape[0])
+    tied = a.max(axis=1) == a_max
+    if tied.any():
+        rest = a[tied]
+        hit = rest == a_max[tied, None]
+        m[tied] += np.count_nonzero(hit, axis=1)
+        rest[hit] = -np.inf
+        a[tied] = rest
+    a -= a_max[:, None]
+    np.exp(a, out=a)
+    return np.log1p(a.sum(axis=1) / m) + np.log(m) + a_max
+
+
 def kde_entropy(samples) -> EntropyEstimate:
-    """Leave-one-out kernel-density entropy of an (n, d) sample matrix."""
+    """Leave-one-out kernel-density entropy of an (n, d) sample matrix.
+
+    The n x n kernel matrix is never formed: the leave-one-out density is
+    walked in blocks of `_BLOCK_CELLS // n` rows (at least one, at most n), so memory is O(n * block)
+    rather than O(n^2). Each block repeats the dense estimator's operations
+    in the same order, so the value equals the dense one bit for bit.
+    """
     x = as_matrix(samples, "samples")
     n, d = x.shape
     if n < 2:
@@ -45,15 +77,25 @@ def kde_entropy(samples) -> EntropyEstimate:
     # distances well conditioned for large offsets.
     z = (x - x.mean(axis=0)) / h
     sq_norms = np.einsum("ij,ij->i", z, z)
-    sq_dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
-    np.maximum(sq_dist, 0.0, out=sq_dist)
-    np.fill_diagonal(sq_dist, np.inf)
-    log_density = (
-        logsumexp(-0.5 * sq_dist, axis=1)
-        - np.log(n - 1)
-        - np.log(h).sum()
-        - 0.5 * d * _LOG_2PI
-    )
+    rows = max(1, min(n, _BLOCK_CELLS // n))
+    log_sums = np.empty(n)
+    # two block buffers serve every block, so the allocator is not asked
+    # for fresh pages per block
+    blk_buf = np.empty((rows, n))
+    dot_buf = np.empty((rows, n))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        blk, dot = blk_buf[: e - s], dot_buf[: e - s]
+        # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j, in the dense estimator's order
+        np.add(sq_norms[s:e, None], sq_norms[None, :], out=blk)
+        np.matmul(z[s:e], z.T, out=dot)
+        dot *= 2.0
+        blk -= dot
+        np.maximum(blk, 0.0, out=blk)
+        blk.reshape(-1)[s :: n + 1] = np.inf  # each row's own sample
+        blk *= -0.5
+        log_sums[s:e] = _logsumexp_rows(blk)
+    log_density = log_sums - np.log(n - 1) - np.log(h).sum() - 0.5 * d * _LOG_2PI
     return EntropyEstimate(float(-log_density.mean()), n, h)
 
 

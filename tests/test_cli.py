@@ -104,6 +104,22 @@ def test_run_infers_k_from_labels(dataset_dir, tmp_path):
     assert report["config"]["n_clusters"] == 3
 
 
+def test_run_infers_k_from_one_based_labels(dataset_dir, tmp_path):
+    labels = np.loadtxt(dataset_dir / "labels.csv", dtype=np.int64)
+    np.savetxt(dataset_dir / "labels.csv", labels[:, None] + 1, fmt="%d")
+    cfg = json.loads(fast_config(tmp_path).read_text())
+    del cfg["n_clusters"]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "runs"
+    code = run_cli(
+        "run", "--data", dataset_dir / "manifest.json", "--out", out,
+        "--config", tmp_path / "config.json",
+    )
+    assert code == 0
+    report = json.loads((only_run_dir(out) / "report.json").read_text())
+    assert report["config"]["n_clusters"] == 3
+
+
 def test_run_ablation_has_three_keyed_blocks(dataset_dir, tmp_path):
     out = tmp_path / "runs"
     cfg = fast_config(tmp_path, max_outer_iters=2)

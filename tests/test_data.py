@@ -139,6 +139,27 @@ def test_load_names_file_and_line_for_bad_cell(tmp_path):
     assert "oops" in str(err.value)
 
 
+def write_labelled(tmp_path, label_text):
+    (tmp_path / "v0.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
+    (tmp_path / "y.csv").write_text(label_text)
+    (tmp_path / "manifest.json").write_text(json.dumps({"views": ["v0.csv"], "labels": "y.csv"}))
+    return tmp_path / "manifest.json"
+
+
+def test_load_remaps_labels_to_contiguous_classes(tmp_path):
+    data = load_multiview(write_labelled(tmp_path, "3\n1\n7\n3\n"))
+    assert data.labels.tolist() == [1, 0, 2, 1]
+    assert data.labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("cell", ["1.5", "nan", "inf"])
+def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell):
+    # the blank line is not a data row but still counts as a file line
+    manifest = write_labelled(tmp_path, f"1\n\n2\n{cell}\n1\n")
+    with pytest.raises(ValueError, match=r"y\.csv:4: label .* is not an integer"):
+        load_multiview(manifest)
+
+
 def test_load_missing_file_names_it(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"views": ["ghost.csv"]}))
     with pytest.raises(FileNotFoundError, match="ghost.csv"):

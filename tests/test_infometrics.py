@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from cemvc import infometrics
 from cemvc.infometrics import (
     joint_entropy,
     kde_entropy,
     label_entropy,
     mutual_information,
     nmi,
+    silverman_bandwidths,
     total_conditional_entropy,
 )
 
@@ -57,6 +62,97 @@ def test_kde_entropy_constant_dimension_uses_sigma_floor():
     est = kde_entropy(x)
     assert np.isfinite(est.value)
     assert (est.bandwidths > 0).all()
+
+
+def dense_kde_entropy(x):
+    """The dense n x n leave-one-out estimator, kept as the reference oracle.
+
+    Bit equality with it holds for scipy's logsumexp as of scipy 1.17,
+    which takes each row's maximum out of the sum before adding up.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    h = silverman_bandwidths(x)
+    z = (x - x.mean(axis=0)) / h
+    sq_norms = np.einsum("ij,ij->i", z, z)
+    sq_dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
+    np.maximum(sq_dist, 0.0, out=sq_dist)
+    np.fill_diagonal(sq_dist, np.inf)
+    log_density = (
+        logsumexp(-0.5 * sq_dist, axis=1)
+        - np.log(n - 1)
+        - np.log(h).sum()
+        - 0.5 * d * np.log(2.0 * np.pi)
+    )
+    return float(-log_density.mean())
+
+
+def _normal(n, d, seed):
+    return np.random.default_rng(seed).standard_normal((n, d))
+
+
+EQUALITY_CASES = {
+    "n2": lambda: _normal(2, 3, 20),
+    "n3": lambda: _normal(3, 1, 21),
+    "n600_partial_last_block": lambda: _normal(600, 4, 22),
+    "n1000_d1": lambda: _normal(1000, 1, 23),
+    "n2401_many_blocks": lambda: _normal(2401, 16, 24),
+    "duplicate_rows": lambda: np.vstack([_normal(300, 3, 25)] * 2),
+    # every row appears three times, so each row's maximum is tied
+    **{
+        f"triplicate_rows_{seed}": lambda seed=seed: np.repeat(_normal(100, 2, seed), 3, axis=0)
+        for seed in range(6)
+    },
+    "integer_ties": lambda: np.random.default_rng(26).integers(0, 40, (300, 1)).astype(float),
+    "constant_column": lambda: np.hstack([_normal(500, 2, 27), np.full((500, 1), 0.1)]),
+    "offset_1e3": lambda: _normal(700, 5, 28) + 1e3,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
+def test_kde_entropy_equals_dense_reference_bit_for_bit(case):
+    x = EQUALITY_CASES[case]()
+    assert kde_entropy(x).value == dense_kde_entropy(x)
+
+
+def test_kde_entropy_single_row_blocks_equal_dense_reference(monkeypatch):
+    x = _normal(37, 3, 29)
+    monkeypatch.setattr(infometrics, "_BLOCK_CELLS", 1)
+    assert kde_entropy(x).value == dense_kde_entropy(x)
+
+
+def test_logsumexp_rows_matches_scipy_with_tied_maxima():
+    a = -5.0 * np.random.default_rng(30).random((50, 40))
+    a[:, [3, 7]] = 0.0
+    a[::2, 11] = 0.0
+    expected = logsumexp(a, axis=1)
+    assert np.array_equal(infometrics._logsumexp_rows(a.copy()), expected)
+
+
+def test_total_conditional_entropy_equals_dense_reference_on_four_views():
+    views = [_normal(300, d, 31 + d) for d in (1, 2, 3, 5)]
+    marginal = [dense_kde_entropy(m) for m in views]
+    expected = np.empty(4)
+    for v in range(4):
+        # the joint of a pair is taken once, lower view index first
+        expected[v] = sum(
+            dense_kde_entropy(np.hstack([views[min(u, v)], views[max(u, v)]])) - marginal[u]
+            for u in range(4)
+            if u != v
+        )
+    assert np.array_equal(total_conditional_entropy(views), expected)
+
+
+def test_kde_entropy_memory_stays_bounded_at_large_n():
+    x = _normal(20_000, 8, 32)  # the dense estimator would need about 17 GB
+    tracemalloc.start()
+    try:
+        est = kde_entropy(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est.value)
+    assert peak < 16 * 2**20
 
 
 def test_joint_entropy_independent_normals_adds_up():
