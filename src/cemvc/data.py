@@ -32,11 +32,25 @@ class MultiViewDataset:
         if not self.views:
             raise ValueError("dataset needs at least one view")
         self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
+        for v, view in enumerate(self.views):
+            bad = np.argwhere(~np.isfinite(view))
+            if bad.size:
+                raise ValueError(
+                    f"view {v} has a non-finite value at index {tuple(bad[0].tolist())}"
+                )
         rows = {v.shape[0] for v in self.views}
         if len(rows) != 1:
             raise ValueError(f"views have differing sample counts: {sorted(rows)}")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu":
+                values = labels.astype(np.float64)
+                bad = np.flatnonzero(~np.isfinite(values) | (values != np.rint(values)))
+                if bad.size:
+                    raise ValueError(
+                        f"label {labels.flat[bad[0]]!r} at index {bad[0]} is not an integer"
+                    )
+            self.labels = labels.astype(np.int64)
             if self.labels.shape != (self.n_samples,):
                 raise ValueError(
                     f"labels have shape {self.labels.shape}, expected ({self.n_samples},)"

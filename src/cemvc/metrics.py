@@ -29,17 +29,19 @@ def confusion_matrix(pred, truth) -> np.ndarray:
     )
 
 
-def clustering_accuracy(pred, truth) -> float:
-    """Best-case matched fraction over cluster-to-class assignments."""
-    table = confusion_matrix(pred, truth)
+def _matched_accuracy(table: np.ndarray) -> float:
+    """Fraction of samples on the best one-to-one cluster-to-class matching."""
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum()) / table.sum()
+
+
+def clustering_accuracy(pred, truth) -> float:
+    """Best-case matched fraction over cluster-to-class assignments."""
+    return _matched_accuracy(confusion_matrix(pred, truth))
 
 
 def evaluate(result, truth) -> MetricReport:
     """Score a clustering result (or a plain label vector) against truth."""
     pred = getattr(result, "labels", result)
     table = confusion_matrix(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    acc = float(table[rows, cols].sum()) / table.sum()
-    return MetricReport(acc=acc, nmi=nmi(pred, truth), confusion=table)
+    return MetricReport(acc=_matched_accuracy(table), nmi=nmi(pred, truth), confusion=table)

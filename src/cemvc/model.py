@@ -7,6 +7,10 @@ parameters. Training minimizes per-sample Frobenius losses:
     recon      = ||X - decode(encode(X))||_F^2 / N
     clustering = ||T - soft_assign(encode(X), centroids)||_F^2 / N
     combined   = recon + lambda * clustering
+
+The Student-t soft labels and sharpened targets follow DEC (Xie et al.,
+ICML 2016); keeping the reconstruction term while finetuning follows IDEC
+(Guo et al., IJCAI 2017).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .clustering import soft_assign, soft_assign_input_grad
 from .numcore import (
     DenseNet,
     Layer,
+    Workspace,
     adam_step,
     as_matrix,
     backward,
@@ -121,33 +126,53 @@ def combined_loss(
     return loss
 
 
+class _StepBuffers:
+    """Training buffers for batches of up to `rows` rows, reused every step.
+
+    One training call owns them, so they are freed when it returns.
+    """
+
+    def __init__(self, model: ViewModel, rows: int) -> None:
+        self.enc = Workspace(model.encoder, rows)
+        self.dec = Workspace(model.decoder, rows, input_grad=True)
+        self.diff = np.empty((rows, model.decoder.output_dim))
+        self.grads = self.enc.grads + self.dec.grads
+
+
 def _loss_and_grads(
     model: ViewModel,
     x: np.ndarray,
     target: np.ndarray | None,
     centroids: np.ndarray | None,
     clustering_weight: float,
+    bufs: _StepBuffers | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Combined loss and its gradient for every model parameter.
 
     With clustering_weight == 0 the target is never touched, so callers may
-    pass None (or garbage) for it.
+    pass None (or garbage) for it. A training loop passes its `bufs`, and
+    the gradients it gets back live in them until the next step; without
+    `bufs` the gradients are fresh arrays owned by the caller.
     """
     n = x.shape[0]
-    latent = forward(model.encoder, x)
-    recon = forward(model.decoder, latent)
-    diff = recon - x
+    if bufs is None:
+        bufs = _StepBuffers(model, n)
+    latent = forward(model.encoder, x, bufs.enc)
+    recon = forward(model.decoder, latent, bufs.dec)
+    diff = np.subtract(recon, x, out=bufs.diff[:n])
     loss = float(np.einsum("ij,ij->", diff, diff)) / n
-    dec_grads, d_latent = backward(model.decoder, latent, 2.0 * diff / n)
+    diff *= 2.0
+    diff /= n  # now the reconstruction loss gradient 2 * diff / n
+    _, d_latent = backward(model.decoder, latent, diff, bufs.dec)
     if clustering_weight > 0:
         q = soft_assign(latent, centroids)
         q_diff = q - target
         loss += clustering_weight * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
-        d_latent = d_latent + clustering_weight * soft_assign_input_grad(
-            latent, centroids, 2.0 * q_diff / n
-        )
-    enc_grads, _ = backward(model.encoder, x, d_latent)
-    return loss, enc_grads + dec_grads
+        d_cluster = soft_assign_input_grad(latent, centroids, 2.0 * q_diff / n)
+        d_cluster *= clustering_weight
+        d_latent += d_cluster
+    backward(model.encoder, x, d_latent, bufs.enc)
+    return loss, bufs.grads
 
 
 def _batches(n: int, batch_size: int | None, rng: np.random.Generator):
@@ -157,6 +182,10 @@ def _batches(n: int, batch_size: int | None, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
+
+
+def _batch_rows(n: int, batch_size: int | None) -> int:
+    return n if batch_size is None else min(n, batch_size)
 
 
 def pretrain(
@@ -174,9 +203,10 @@ def pretrain(
     params = model_params(model)
     names = model_param_names(model)
     state = init_adam(params, cfg.learning_rate)
+    bufs = _StepBuffers(model, _batch_rows(x.shape[0], cfg.batch_size))
     for epoch in range(cfg.pretrain_epochs):
         for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):
-            loss, grads = _loss_and_grads(model, x[idx], None, None, 0.0)
+            loss, grads = _loss_and_grads(model, x[idx], None, None, 0.0, bufs)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite pretraining loss at epoch {epoch} for view {view_index}"
@@ -198,6 +228,11 @@ def finetune_view(
     the target matrix is never read.
     """
     x = as_matrix(x, "view data")
+    if x.shape[1] != model.encoder.input_dim:
+        raise ValueError(
+            f"input has {x.shape[1]} columns but the first layer expects "
+            f"{model.encoder.input_dim}"
+        )
     lam = cfg.clustering_weight
     if lam > 0:
         target = as_matrix(target, "target")
@@ -215,12 +250,15 @@ def finetune_view(
     names = model_param_names(model)
     state = init_adam(params, cfg.learning_rate)
     batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
+    bufs = _StepBuffers(model, _batch_rows(x.shape[0], cfg.batch_size))
     steps = 0
     while steps < cfg.finetune_steps_per_round:
         for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):
             xb = x[idx]
             tb = target[idx] if lam > 0 else None
-            loss, grads = _loss_and_grads(model, xb, tb, centroids if lam > 0 else None, lam)
+            loss, grads = _loss_and_grads(
+                model, xb, tb, centroids if lam > 0 else None, lam, bufs
+            )
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite finetuning loss at step {steps} for view {model.view_index}"

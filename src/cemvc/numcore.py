@@ -4,8 +4,12 @@ Everything runs on float64 numpy arrays. Matrices are row-major
 (samples, features). The engine supports relu hidden layers and linear
 output layers, which is all the autoencoders in this package need.
 
-forward/backward are pure functions; AdamState is mutated only by
-adam_step, so a single training loop owns it.
+forward without a Workspace validates its input and returns fresh arrays.
+A training loop instead owns a Workspace per net: forward writes the
+layer activations into it, and backward reads them and writes its deltas
+and gradients there, so a step runs each matmul once and allocates no
+batch-sized arrays. The caller validates the input once, up front.
+AdamState is mutated only by adam_step, so a single training loop owns it.
 """
 
 from __future__ import annotations
@@ -101,62 +105,95 @@ def init_dense_net(
     return DenseNet(layers)
 
 
-def _apply(activation: str, z: Array) -> Array:
-    return relu(z) if activation == "relu" else z
+class Workspace:
+    """Per-layer scratch arrays for training one net on batches of up to `rows` rows.
+
+    forward() writes each layer's activations here and backward() reads
+    them, so a step runs each matmul once. backward() writes its deltas
+    and parameter gradients here too; a batch of m < rows rows uses the
+    first m rows of every buffer. With `input_grad` the workspace also
+    holds dL/dx, for chaining into an upstream network.
+    """
+
+    def __init__(self, net: DenseNet, rows: int, input_grad: bool = False) -> None:
+        self.acts = [np.empty((rows, layer.weight.shape[1])) for layer in net.layers]
+        self.masks = [
+            np.empty((rows, layer.weight.shape[1]), dtype=bool)
+            if layer.activation == "relu" else None
+            for layer in net.layers
+        ]
+        # deltas[i] holds dL/d(input of layer i); layer 0's only if asked for
+        self.deltas = [
+            np.empty((rows, layer.weight.shape[0])) if i or input_grad else None
+            for i, layer in enumerate(net.layers)
+        ]
+        self.grads = [np.empty_like(p) for p in net_params(net)]
 
 
-def _forward_cached(net: DenseNet, x: Array) -> tuple[Array, list[Array], list[Array]]:
-    """Forward pass keeping per-layer inputs and pre-activations."""
-    inputs = [x]
-    pre = []
+def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
+    """Evaluate the network on a batch, returning the final activations.
+
+    Without `work` the input is validated and fresh arrays are returned.
+    With `work` (the training path, whose caller validated x) the
+    activations are written into it and the result is a view of its last
+    buffer.
+    """
+    if work is None:
+        x = as_matrix(x, "input")
+        if x.shape[1] != net.input_dim:
+            raise ValueError(
+                f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
+            )
+        a = x
+        for layer in net.layers:
+            a = a @ layer.weight + layer.bias
+            if layer.activation == "relu":
+                a = relu(a)
+        return a
+    m = x.shape[0]
     a = x
-    for layer in net.layers:
-        z = a @ layer.weight + layer.bias
-        pre.append(z)
-        a = _apply(layer.activation, z)
-        inputs.append(a)
-    return a, inputs, pre
+    for layer, buf in zip(net.layers, work.acts):
+        out = buf[:m]
+        np.matmul(a, layer.weight, out=out)
+        out += layer.bias
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        a = out
+    return a
 
 
-def forward(net: DenseNet, x: Array) -> Array:
-    """Evaluate the network on a batch, returning the final activations."""
-    x = as_matrix(x, "input")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
-        )
-    out, _, _ = _forward_cached(net, x)
-    return out
-
-
-def backward(net: DenseNet, x: Array, loss_grad: Array) -> tuple[list[Array], Array]:
+def backward(
+    net: DenseNet, x: Array, loss_grad: Array, work: Workspace
+) -> tuple[list[Array], Array | None]:
     """Backpropagate `loss_grad` (dL/d output) through the network.
 
-    Returns (param_grads, input_grad) where param_grads is the flat list
+    `work` must hold the activations of `forward(net, x, work)`. Returns
+    (param_grads, input_grad): param_grads is work's flat list
     [dW0, db0, dW1, db1, ...] matching net_params(net), and input_grad is
-    dL/dx for chaining into an upstream network.
+    dL/dx (a view into work) if work was built with input_grad, else None.
+    The relu mask uses the post-activations: relu(z) > 0 exactly when z > 0.
     """
-    x = as_matrix(x, "input")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
-        )
+    m = x.shape[0]
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    out, inputs, pre = _forward_cached(net, x)
-    if loss_grad.shape != out.shape:
+    if loss_grad.shape != (m, net.output_dim):
         raise ValueError(
-            f"loss gradient shape {loss_grad.shape} does not match output shape {out.shape}"
+            f"loss gradient shape {loss_grad.shape} does not match output shape "
+            f"{(m, net.output_dim)}"
         )
-    grads: list[Array] = [np.empty(0)] * (2 * len(net.layers))
     delta = loss_grad
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
-            delta = delta * (pre[i] > 0)
-        grads[2 * i] = inputs[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ layer.weight.T
-    return grads, delta
+            mask = np.greater(work.acts[i][:m], 0.0, out=work.masks[i][:m])
+            # the caller's loss gradient is never written to
+            delta = delta * mask if delta is loss_grad else np.multiply(delta, mask, out=delta)
+        inputs = work.acts[i - 1][:m] if i else x
+        np.matmul(inputs.T, delta, out=work.grads[2 * i])
+        np.sum(delta, axis=0, out=work.grads[2 * i + 1])
+        if work.deltas[i] is None:
+            return work.grads, None
+        delta = np.matmul(delta, layer.weight.T, out=work.deltas[i][:m])
+    return work.grads, delta
 
 
 def net_params(net: DenseNet) -> list[Array]:
@@ -178,7 +215,11 @@ def net_param_names(net: DenseNet, prefix: str = "net") -> list[str]:
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for a parameter list."""
+    """Bias-corrected adaptive-moment optimizer state for a parameter list.
+
+    `scratch` holds two work arrays per parameter, made by the first step,
+    so later steps allocate no parameter-sized temporaries.
+    """
 
     learning_rate: float
     beta1: float = 0.9
@@ -187,6 +228,7 @@ class AdamState:
     step: int = 0
     first_moment: list[Array] = field(default_factory=list)
     second_moment: list[Array] = field(default_factory=list)
+    scratch: list[tuple[Array, Array]] = field(default_factory=list)
 
 
 def init_adam(params: list[Array], learning_rate: float, **kwargs) -> AdamState:
@@ -202,7 +244,11 @@ def adam_step(
     state: AdamState,
     names: list[str] | None = None,
 ) -> None:
-    """Apply one in-place update to every parameter array."""
+    """Apply one in-place update to every parameter array.
+
+    The arithmetic is p -= (lr * m_hat) / (sqrt(v_hat) + eps), operation
+    for operation, so results match the out-of-place formula bit for bit.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ValueError("parameter, gradient and state lists must have equal length")
     for i, g in enumerate(grads):
@@ -213,14 +259,23 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter shape {params[i].shape}"
             )
+    if len(state.scratch) != len(params):
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, m, v, (s1, s2) in zip(
+        params, grads, state.first_moment, state.second_moment, state.scratch
+    ):
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s1)
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        v += np.multiply(np.square(g, out=s2), 1.0 - b2, out=s2)
+        np.divide(m, c1, out=s1)  # m_hat
+        np.divide(v, c2, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += state.epsilon
+        s1 *= state.learning_rate
+        s1 /= s2
+        p -= s1

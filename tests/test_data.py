@@ -89,6 +89,25 @@ def test_dataset_rejects_row_mismatch():
         MultiViewDataset([np.zeros((3, 2)), np.zeros((4, 2))])
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_view_cell_with_view_index(cell):
+    bad = np.array([[0.0, 1.0], [cell, 1.0]])
+    with pytest.raises(ValueError, match=r"view 1 has a non-finite value at index \(1, 0\)"):
+        MultiViewDataset([np.zeros((2, 3)), bad])
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, np.nan]])
+def test_dataset_rejects_non_integral_labels(labels):
+    with pytest.raises(ValueError, match="is not an integer"):
+        MultiViewDataset([np.zeros((3, 2))], labels=labels)
+
+
+def test_dataset_accepts_integral_float_labels():
+    data = MultiViewDataset([np.zeros((3, 2))], labels=[0.0, 2.0, 1.0])
+    assert data.labels.tolist() == [0, 2, 1]
+    assert data.labels.dtype == np.int64
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     data = synth_multiview(50, 3, 2, 4, 6.0, seed=10)
     manifest = save_multiview(data, tmp_path / "ds")

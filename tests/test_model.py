@@ -1,11 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cemvc.clustering import soft_assign
+from cemvc.clustering import soft_assign, soft_assign_input_grad
+from cemvc.numcore import adam_step, init_adam
 from cemvc.model import (
     TrainConfig,
+    _StepBuffers,
     build_view_model,
     combined_loss,
     encode,
@@ -229,6 +232,8 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, x, np.zeros((9, 3)), np.zeros((3, 2)), cfg)
     with pytest.raises(ValueError, match="centroids"):
         finetune_view(model, x, np.zeros((10, 3)), np.zeros((4, 2)), cfg)
+    with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
+        finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -274,3 +279,198 @@ def test_minibatch_training_runs_and_is_deterministic():
         finetune_steps_per_round=7, batch_size=16, clustering_weight=0.0
     ))
     assert np.isfinite(encode(a, x)).all()
+
+
+# --- bit-equality oracle: the two-pass training step it replaced ----------
+#
+# The reference recomputes each net's forward pass inside backward, keeps
+# pre-activations for the relu mask, allocates every intermediate and
+# updates Adam out of place. The buffered step must equal it under ==.
+
+
+def ref_backward(net, x, loss_grad):
+    inputs, pre, a = [x], [], x
+    for layer in net.layers:
+        z = a @ layer.weight + layer.bias
+        pre.append(z)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        inputs.append(a)
+    grads = [None] * (2 * len(net.layers))
+    delta = loss_grad
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.activation == "relu":
+            delta = delta * (pre[i] > 0)
+        grads[2 * i] = inputs[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ layer.weight.T
+    return grads, delta
+
+
+def ref_loss_and_grads(model, x, target, centroids, lam):
+    n = x.shape[0]
+    latent = encode(model, x)
+    diff = reconstruct(model, x) - x
+    loss = float(np.einsum("ij,ij->", diff, diff)) / n
+    dec_grads, d_latent = ref_backward(model.decoder, latent, 2.0 * diff / n)
+    if lam > 0:
+        q = soft_assign(latent, centroids)
+        q_diff = q - target
+        loss += lam * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
+        d_latent = d_latent + lam * soft_assign_input_grad(
+            latent, centroids, 2.0 * q_diff / n
+        )
+    enc_grads, _ = ref_backward(model.encoder, x, d_latent)
+    return loss, enc_grads + dec_grads
+
+
+class RefAdam:
+    def __init__(self, params, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps, self.t = lr, b1, b2, eps, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def ref_batches(n, batch_size, rng):
+    if batch_size is None or batch_size >= n:
+        return [slice(None)]
+    order = rng.permutation(n)
+    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+
+
+def ref_pretrain(x, hidden, latent_dim, cfg, view_index=0):
+    init_rng = np.random.default_rng((cfg.seed, 101, view_index))
+    batch_rng = np.random.default_rng((cfg.seed, 102, view_index))
+    model = build_view_model(x.shape[1], hidden, latent_dim, view_index, init_rng)
+    params = model_params(model)
+    adam = RefAdam(params, cfg.learning_rate)
+    for _ in range(cfg.pretrain_epochs):
+        for idx in ref_batches(x.shape[0], cfg.batch_size, batch_rng):
+            _, grads = ref_loss_and_grads(model, x[idx], None, None, 0.0)
+            adam.step(params, grads)
+    return model
+
+
+def ref_finetune(model, x, target, centroids, cfg):
+    lam = cfg.clustering_weight
+    params = model_params(model)
+    adam = RefAdam(params, cfg.learning_rate)
+    batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
+    steps = 0
+    while steps < cfg.finetune_steps_per_round:
+        for idx in ref_batches(x.shape[0], cfg.batch_size, batch_rng):
+            _, grads = ref_loss_and_grads(model, x[idx], target[idx], centroids, lam)
+            adam.step(params, grads)
+            steps += 1
+            if steps >= cfg.finetune_steps_per_round:
+                break
+    return model
+
+
+def clustered_view(n=70, d=12, k=4, seed=30):
+    rng = np.random.default_rng(seed)
+    x = 3.0 * rng.standard_normal((k, d))[np.arange(n) % k] + rng.standard_normal((n, d))
+    target = rng.random((n, k))
+    target /= target.sum(axis=1, keepdims=True)
+    return x, target, rng.standard_normal((k, 3))
+
+
+def assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_loss_and_grads_equal_two_pass_reference(lam):
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9, 7), 3, seed=31)
+    loss, grads = _loss_and_grads(model, x, target, centroids, lam)
+    ref_loss, ref_grads = ref_loss_and_grads(model, x, target, centroids, lam)
+    assert loss == ref_loss
+    assert_bit_equal(grads, ref_grads)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_buffered_minibatch_steps_equal_reference_through_partial_batch(lam):
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9, 7), 3, seed=32)
+    bufs = _StepBuffers(model, 16)
+    order = np.random.default_rng(33).permutation(x.shape[0])
+    # 70 rows in batches of 16: four full batches, then a partial one of 6
+    for start in range(0, x.shape[0], 16):
+        idx = order[start : start + 16]
+        loss, grads = _loss_and_grads(model, x[idx], target[idx], centroids, lam, bufs)
+        ref_loss, ref_grads = ref_loss_and_grads(model, x[idx], target[idx], centroids, lam)
+        assert loss == ref_loss
+        assert_bit_equal(grads, ref_grads)
+
+
+def test_loss_and_grads_without_buffers_returns_owned_arrays():
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9,), 3, seed=34)
+    _, first = _loss_and_grads(model, x, target, centroids, 0.3)
+    kept = [g.copy() for g in first]
+    _loss_and_grads(model, 2.0 * x, target, centroids, 0.3)
+    assert_bit_equal(first, kept)
+
+
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_pretrain_and_finetune_params_equal_reference(batch_size):
+    x, target, centroids = clustered_view(seed=35)
+    cfg = TrainConfig(
+        pretrain_epochs=20,
+        finetune_steps_per_round=11,
+        batch_size=batch_size,
+        learning_rate=3e-3,
+        clustering_weight=0.2,
+        seed=36,
+    )
+    model = pretrain(x, (9, 7), 3, cfg, view_index=1)
+    ref = ref_pretrain(x, (9, 7), 3, cfg, view_index=1)
+    assert_bit_equal(model_params(model), model_params(ref))
+    finetune_view(model, x, target, centroids, cfg)
+    ref_finetune(ref, x, target, centroids, cfg)
+    assert_bit_equal(model_params(model), model_params(ref))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_buffered_step_allocates_less_than_one_view_array(lam):
+    # full-batch 600 x 200 view, the size of the benchmark's noise view
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((600, 200))
+    target = rng.random((600, 3))
+    target /= target.sum(axis=1, keepdims=True)
+    centroids = rng.standard_normal((3, 8))
+    model = build_view_model(200, (32,), 8, 0, rng)
+    params = model_params(model)
+    state = init_adam(params, 1e-3)
+    bufs = _StepBuffers(model, x.shape[0])
+
+    def step():
+        _, grads = _loss_and_grads(model, x, target, centroids, lam, bufs)
+        adam_step(params, grads, state)
+
+    step()  # the first step makes Adam's scratch arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        transient = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert transient < x.nbytes

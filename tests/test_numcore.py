@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cemvc.numcore import (
     DenseNet,
     Layer,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -23,6 +24,13 @@ def small_net(seed=0, dims=(3, 5, 2), output_activation="linear", bias_jitter=0.
         for layer in net.layers:
             layer.bias += bias_jitter * rng.standard_normal(layer.bias.shape)
     return net
+
+
+def forward_backward(net, x, loss_grad):
+    """backward from the activations of a workspace forward pass on x."""
+    work = Workspace(net, x.shape[0], input_grad=True)
+    forward(net, x, work)
+    return backward(net, x, loss_grad, work)
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):
@@ -101,7 +109,7 @@ def test_relu_is_nonnegative(seed):
 def test_backward_zero_loss_grad_gives_zero_grads():
     net = small_net(seed=5)
     x = np.random.default_rng(6).standard_normal((4, 3))
-    grads, dx = backward(net, x, np.zeros((4, 2)))
+    grads, dx = forward_backward(net, x, np.zeros((4, 2)))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
     assert np.array_equal(dx, np.zeros_like(x))
 
@@ -114,7 +122,7 @@ def test_backward_single_linear_layer_closed_form():
     x = np.array([[0.7, -1.2]])
     y = np.array([[0.2, 0.9]])
     resid = x @ w + b - y
-    grads, _ = backward(net, x, 2.0 * resid)
+    grads, _ = forward_backward(net, x, 2.0 * resid)
     assert grads[0] == pytest.approx(x.T @ (2.0 * resid))
     assert grads[1] == pytest.approx((2.0 * resid).ravel())
 
@@ -123,7 +131,7 @@ def test_backward_rejects_shape_mismatch():
     net = small_net()
     x = np.zeros((4, 3))
     with pytest.raises(ValueError, match="loss gradient shape"):
-        backward(net, x, np.zeros((4, 99)))
+        forward_backward(net, x, np.zeros((4, 99)))
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -142,7 +150,7 @@ def test_gradients_match_finite_differences(trial):
         return float((diff * diff).sum())
 
     out = forward(net, x)
-    analytic, _ = backward(net, x, 2.0 * (out - y))
+    analytic, _ = forward_backward(net, x, 2.0 * (out - y))
     numeric = finite_difference_grads(loss, net_params(net))
     assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -152,7 +160,7 @@ def test_backward_input_grad_matches_finite_differences():
     x = np.random.default_rng(12).standard_normal((5, 3))
     y = np.random.default_rng(13).standard_normal((5, 2))
     out = forward(net, x)
-    _, dx = backward(net, x, 2.0 * (out - y))
+    _, dx = forward_backward(net, x, 2.0 * (out - y))
 
     def loss():
         diff = forward(net, x) - y
