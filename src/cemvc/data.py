@@ -50,6 +50,7 @@ class MultiViewDataset:
                     raise ValueError(
                         f"label {labels.flat[bad[0]]!r} at index {bad[0]} is not an integer"
                     )
+                labels = values
             self.labels = labels.astype(np.int64)
             if self.labels.shape != (self.n_samples,):
                 raise ValueError(

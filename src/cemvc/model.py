@@ -184,10 +184,6 @@ def _batches(n: int, batch_size: int | None, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _batch_rows(n: int, batch_size: int | None) -> int:
-    return n if batch_size is None else min(n, batch_size)
-
-
 def pretrain(
     view_data,
     hidden_dims,
@@ -203,7 +199,7 @@ def pretrain(
     params = model_params(model)
     names = model_param_names(model)
     state = init_adam(params, cfg.learning_rate)
-    bufs = _StepBuffers(model, _batch_rows(x.shape[0], cfg.batch_size))
+    bufs = _StepBuffers(model, min(x.shape[0], cfg.batch_size or x.shape[0]))
     for epoch in range(cfg.pretrain_epochs):
         for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):
             loss, grads = _loss_and_grads(model, x[idx], None, None, 0.0, bufs)
@@ -250,7 +246,7 @@ def finetune_view(
     names = model_param_names(model)
     state = init_adam(params, cfg.learning_rate)
     batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
-    bufs = _StepBuffers(model, _batch_rows(x.shape[0], cfg.batch_size))
+    bufs = _StepBuffers(model, min(x.shape[0], cfg.batch_size or x.shape[0]))
     steps = 0
     while steps < cfg.finetune_steps_per_round:
         for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):

@@ -144,21 +144,13 @@ def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
             raise ValueError(
                 f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
             )
-        a = x
-        for layer in net.layers:
-            a = a @ layer.weight + layer.bias
-            if layer.activation == "relu":
-                a = relu(a)
-        return a
     m = x.shape[0]
     a = x
-    for layer, buf in zip(net.layers, work.acts):
-        out = buf[:m]
-        np.matmul(a, layer.weight, out=out)
-        out += layer.bias
+    for i, layer in enumerate(net.layers):
+        a = np.matmul(a, layer.weight, out=None if work is None else work.acts[i][:m])
+        a += layer.bias
         if layer.activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        a = out
+            np.maximum(a, 0.0, out=a)
     return a
 
 
@@ -217,8 +209,8 @@ def net_param_names(net: DenseNet, prefix: str = "net") -> list[str]:
 class AdamState:
     """Bias-corrected adaptive-moment optimizer state for a parameter list.
 
-    `scratch` holds two work arrays per parameter, made by the first step,
-    so later steps allocate no parameter-sized temporaries.
+    `scratch` holds two work arrays per parameter, so a step allocates no
+    parameter-sized temporaries.
     """
 
     learning_rate: float
@@ -235,6 +227,7 @@ def init_adam(params: list[Array], learning_rate: float, **kwargs) -> AdamState:
     state = AdamState(learning_rate=learning_rate, **kwargs)
     state.first_moment = [np.zeros_like(p) for p in params]
     state.second_moment = [np.zeros_like(p) for p in params]
+    state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     return state
 
 
@@ -259,8 +252,6 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter shape {params[i].shape}"
             )
-    if len(state.scratch) != len(params):
-        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

@@ -102,8 +102,9 @@ def test_dataset_rejects_non_integral_labels(labels):
         MultiViewDataset([np.zeros((3, 2))], labels=labels)
 
 
-def test_dataset_accepts_integral_float_labels():
-    data = MultiViewDataset([np.zeros((3, 2))], labels=[0.0, 2.0, 1.0])
+@pytest.mark.parametrize("labels", [[0.0, 2.0, 1.0], ["0", "2.0", "1.0"]])
+def test_dataset_accepts_integral_float_labels(labels):
+    data = MultiViewDataset([np.zeros((3, 2))], labels=labels)
     assert data.labels.tolist() == [0, 2, 1]
     assert data.labels.dtype == np.int64
 
