@@ -1,15 +1,18 @@
 """Entropy and mutual-information estimators used to score views.
 
 Continuous entropies come from a leave-one-out Gaussian-product-kernel
-density (Silverman bandwidths, resubstitution average of -log density),
-computed in row blocks so that memory stays O(n * block).
-Discrete quantities operate on hard label vectors via contingency counts.
-All values are in nats.
+density (Silverman bandwidths, resubstitution average of -log density).
+One row-block sweep gives the entropy of every view and of every pair of
+views, so memory stays O(n * block) and no pair of views is concatenated:
+under Silverman's rule a joint scaled distance is a weighted sum of the
+two marginal ones. Discrete quantities operate on hard label vectors via
+contingency counts. All values are in nats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ from .numcore import as_matrix
 
 SIGMA_FLOOR = 1e-6
 _LOG_2PI = np.log(2.0 * np.pi)
-_BLOCK_CELLS = 1 << 18  # distance cells per row block: 2 MiB of float64, about one L2
+_BLOCK_CELLS = 1 << 18  # 2 MiB of float64, about one L2; `_view_entropies` sizes its blocks from it
 
 
 @dataclass(frozen=True)
@@ -28,11 +31,18 @@ class EntropyEstimate:
     bandwidths: np.ndarray
 
 
+def _floored_sigma(samples: np.ndarray) -> np.ndarray:
+    return np.maximum(samples.std(axis=0, ddof=1), SIGMA_FLOOR)
+
+
+def _silverman(sigma: np.ndarray, n: int, d: int) -> np.ndarray:
+    return 1.06 * sigma * n ** (-1.0 / (4.0 + d))
+
+
 def silverman_bandwidths(samples: np.ndarray) -> np.ndarray:
     """Per-dimension bandwidth 1.06 * sigma * n^(-1/(4+d)), sigma floored."""
     n, d = samples.shape
-    sigma = np.maximum(samples.std(axis=0, ddof=1), SIGMA_FLOOR)
-    return 1.06 * sigma * n ** (-1.0 / (4.0 + d))
+    return _silverman(_floored_sigma(samples), n, d)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -60,43 +70,103 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return np.log1p(a.sum(axis=1) / m) + np.log(m) + a_max
 
 
+def _estimate(log_sums: np.ndarray, h: np.ndarray) -> EntropyEstimate:
+    n, d = log_sums.shape[0], h.shape[0]
+    log_density = log_sums - np.log(n - 1) - np.log(h).sum() - 0.5 * d * _LOG_2PI
+    return EntropyEstimate(float(-log_density.mean()), n, h)
+
+
+def _view_entropies(
+    mats: Sequence[np.ndarray],
+) -> tuple[list[EntropyEstimate], dict[tuple[int, int], EntropyEstimate]]:
+    """Leave-one-out KDE entropy of each view and of each pair of views.
+
+    `mats` are finite float64 (n, d_v) matrices with equal n. Returns the
+    marginal estimates in view order, and the joint estimate of the column
+    concatenation [view v, view u] keyed by (v, u) for every v < u.
+
+    The n x n kernel matrices are never formed. The rows are walked once,
+    in blocks held by V + 2 buffers that every block reuses.
+    Per block, each view's scaled distances S_v = -0.5 * max(D_v, 0), with
+    its own sample at -inf, repeat the dense estimator's operations in the
+    same order. So a marginal value equals the dense one bit for bit
+    wherever BLAS adds up a block's dot products as it does for the full
+    z @ z.T; a one-row block (a matrix-vector call) of a d=2 view need not.
+    Silverman's joint bandwidth of a column of view v is its marginal one
+    divided by a constant, so the joint block is r_v * S_v + r_u * S_u with
+    r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)). A joint value
+    therefore equals the dense estimator on the concatenation up to
+    summation order.
+    """
+    n = mats[0].shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples for a leave-one-out density, got {n}")
+    n_views = len(mats)
+    dims = [m.shape[1] for m in mats]
+    sigmas = [_floored_sigma(m) for m in mats]
+    hs = [_silverman(sigma, n, d) for sigma, d in zip(sigmas, dims)]
+    # Centering is a no-op for the estimator but keeps the pairwise
+    # distances well conditioned for large offsets.
+    zs = [(m - m.mean(axis=0)) / h for m, h in zip(mats, hs)]
+    sq_norms = [np.einsum("ij,ij->i", z, z) for z in zs]
+    pairs = list(combinations(range(n_views), 2))
+
+    def ratio(v, u):
+        return n ** (2.0 / (4.0 + dims[v] + dims[u]) - 2.0 / (4.0 + dims[v]))
+
+    # The block buffers get what the per-row arrays (z, norms, log-sums)
+    # leave of 2 * _BLOCK_CELLS cells, but never less than half of it: at
+    # large n the per-row arrays dominate memory anyway, and thinner blocks
+    # would only add per-block overhead.
+    row_cells = (sum(dims) + 2 * n_views + len(pairs)) * n
+    block_cells = max(2 * _BLOCK_CELLS - row_cells, _BLOCK_CELLS)
+    rows = max(1, min(n, block_cells // ((n_views + 2) * n)))
+    marginal_sums = np.empty((n_views, n))
+    joint_sums = np.empty((len(pairs), n))
+    # one buffer per view, a product buffer and a joint buffer, so the
+    # allocator is not asked for fresh pages per block
+    buffers = np.empty((n_views + 2, rows, n))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        blocks = buffers[:, : e - s]
+        dot, joint = blocks[n_views], blocks[n_views + 1]
+        for v in range(n_views):
+            blk, z = blocks[v], zs[v]
+            # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j, in the dense estimator's order
+            np.add(sq_norms[v][s:e, None], sq_norms[v][None, :], out=blk)
+            np.matmul(z[s:e], z.T, out=dot)
+            dot *= 2.0
+            blk -= dot
+            np.maximum(blk, 0.0, out=blk)
+            blk.reshape(-1)[s :: n + 1] = np.inf  # each row's own sample
+            blk *= -0.5
+        # joints first: the marginal log-sum-exp overwrites its block
+        for p, (v, u) in enumerate(pairs):
+            np.multiply(blocks[v], ratio(v, u), out=joint)
+            np.multiply(blocks[u], ratio(u, v), out=dot)
+            joint += dot
+            joint_sums[p, s:e] = _logsumexp_rows(joint)
+        for v in range(n_views):
+            marginal_sums[v, s:e] = _logsumexp_rows(blocks[v])
+    marginal = [_estimate(marginal_sums[v], hs[v]) for v in range(n_views)]
+    joint_estimates = {}
+    for p, (v, u) in enumerate(pairs):
+        d = dims[v] + dims[u]
+        h = np.concatenate([_silverman(sigmas[v], n, d), _silverman(sigmas[u], n, d)])
+        joint_estimates[v, u] = _estimate(joint_sums[p], h)
+    return marginal, joint_estimates
+
+
 def kde_entropy(samples) -> EntropyEstimate:
     """Leave-one-out kernel-density entropy of an (n, d) sample matrix.
 
-    The n x n kernel matrix is never formed: the leave-one-out density is
-    walked in blocks of `_BLOCK_CELLS // n` rows (at least one, at most n), so memory is O(n * block)
-    rather than O(n^2). Each block repeats the dense estimator's operations
-    in the same order, so the value equals the dense one bit for bit.
+    Computed in row blocks (see `_view_entropies`), so memory is
+    O(n * block) rather than O(n^2); the value equals the dense n x n
+    estimator's, bit for bit where the block products allow.
     """
     x = as_matrix(samples, "samples")
-    n, d = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples for a leave-one-out density, got {n}")
-    h = silverman_bandwidths(x)
-    # Centering is a no-op for the estimator but keeps the pairwise
-    # distances well conditioned for large offsets.
-    z = (x - x.mean(axis=0)) / h
-    sq_norms = np.einsum("ij,ij->i", z, z)
-    rows = max(1, min(n, _BLOCK_CELLS // n))
-    log_sums = np.empty(n)
-    # two block buffers serve every block, so the allocator is not asked
-    # for fresh pages per block
-    blk_buf = np.empty((rows, n))
-    dot_buf = np.empty((rows, n))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        blk, dot = blk_buf[: e - s], dot_buf[: e - s]
-        # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j, in the dense estimator's order
-        np.add(sq_norms[s:e, None], sq_norms[None, :], out=blk)
-        np.matmul(z[s:e], z.T, out=dot)
-        dot *= 2.0
-        blk -= dot
-        np.maximum(blk, 0.0, out=blk)
-        blk.reshape(-1)[s :: n + 1] = np.inf  # each row's own sample
-        blk *= -0.5
-        log_sums[s:e] = _logsumexp_rows(blk)
-    log_density = log_sums - np.log(n - 1) - np.log(h).sum() - 0.5 * d * _LOG_2PI
-    return EntropyEstimate(float(-log_density.mean()), n, h)
+    marginal, _ = _view_entropies([x])
+    return marginal[0]
 
 
 def joint_entropy(a, b) -> EntropyEstimate:
@@ -105,7 +175,8 @@ def joint_entropy(a, b) -> EntropyEstimate:
     b = as_matrix(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return kde_entropy(np.hstack([a, b]))
+    _, joint = _view_entropies([a, b])
+    return joint[0, 1]
 
 
 def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
@@ -121,11 +192,11 @@ def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"views have differing row counts: {sorted(rows)}")
-    marginal = np.array([kde_entropy(m).value for m in mats])
+    marginal_estimates, joint_estimates = _view_entropies(mats)
+    marginal = np.array([est.value for est in marginal_estimates])
     joint = np.zeros((n_views, n_views))
-    for v in range(n_views):
-        for u in range(v + 1, n_views):
-            joint[v, u] = joint[u, v] = joint_entropy(mats[v], mats[u]).value
+    for (v, u), est in joint_estimates.items():
+        joint[v, u] = joint[u, v] = est.value
     out = np.empty(n_views)
     for v in range(n_views):
         others = [u for u in range(n_views) if u != v]

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -129,18 +131,82 @@ def test_logsumexp_rows_matches_scipy_with_tied_maxima():
     assert np.array_equal(infometrics._logsumexp_rows(a.copy()), expected)
 
 
-def test_total_conditional_entropy_equals_dense_reference_on_four_views():
-    views = [_normal(300, d, 31 + d) for d in (1, 2, 3, 5)]
-    marginal = [dense_kde_entropy(m) for m in views]
-    expected = np.empty(4)
-    for v in range(4):
-        # the joint of a pair is taken once, lower view index first
-        expected[v] = sum(
-            dense_kde_entropy(np.hstack([views[min(u, v)], views[max(u, v)]])) - marginal[u]
-            for u in range(4)
-            if u != v
-        )
+# The joint terms are summed in another order than the dense estimator on
+# the concatenated views, so they match it to a tolerance. It was fixed
+# before any run, at about 1e4 times the drift measured on 4 views.
+JOINT_RTOL = JOINT_ATOL = 1e-12
+
+
+def assert_matches_dense_reference(views, marginal_rtol=0.0):
+    """Marginals equal the dense oracle bit for bit (or to `marginal_rtol`),
+    joints match it to JOINT_RTOL, and total_conditional_entropy is exactly
+    the sum of the sweep's terms."""
+    marginal, joint = infometrics._view_entropies(views)
+    expected_marginal = [dense_kde_entropy(x) for x in views]
+    if marginal_rtol:
+        np.testing.assert_allclose([est.value for est in marginal], expected_marginal, rtol=marginal_rtol, atol=0)
+    else:
+        assert [est.value for est in marginal] == expected_marginal
+    assert sorted(joint) == list(combinations(range(len(views)), 2))
+    for (v, u), est in joint.items():
+        pair = np.hstack([views[v], views[u]])
+        np.testing.assert_allclose(est.value, dense_kde_entropy(pair), rtol=JOINT_RTOL, atol=JOINT_ATOL)
+        np.testing.assert_allclose(est.bandwidths, silverman_bandwidths(pair), rtol=1e-15, atol=0)
+    expected = [
+        sum(joint[min(u, v), max(u, v)].value - marginal[u].value for u in range(len(views)) if u != v)
+        for v in range(len(views))
+    ]
     assert np.array_equal(total_conditional_entropy(views), expected)
+
+
+def test_total_conditional_entropy_equals_dense_reference_on_four_views():
+    assert_matches_dense_reference([_normal(300, d, 31 + d) for d in (1, 2, 3, 5)])
+
+
+VIEW_CASES = {
+    "constant_column": lambda: [
+        np.hstack([_normal(200, 2, 40), np.full((200, 1), 0.1)]),
+        _normal(200, 3, 41),
+        np.full((200, 1), -7.0),
+    ],
+    "duplicate_rows": lambda: [np.vstack([_normal(150, d, 42 + d)] * 2) for d in (2, 3, 4)],
+    "unequal_d": lambda: [_normal(250, 1, 45), _normal(250, 16, 46)],
+    "n1201_many_blocks": lambda: [_normal(1201, 8, 47 + v) for v in range(4)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_CASES))
+def test_view_entropies_match_dense_reference(case):
+    assert_matches_dense_reference(VIEW_CASES[case]())
+
+
+def test_view_entropies_single_row_blocks_match_dense_reference(monkeypatch):
+    monkeypatch.setattr(infometrics, "_BLOCK_CELLS", 1)
+    # A one-row block's product is a BLAS matrix-vector call, which need not
+    # add up a d=2 dot product in the order of the dense z @ z.T; the d=2
+    # marginal differs from the oracle in its last bit here, and so does
+    # kde_entropy on that view alone. So the marginals get the joint tolerance.
+    assert_matches_dense_reference([_normal(37, d, 50 + d) for d in (1, 3, 2)], marginal_rtol=JOINT_RTOL)
+
+
+@given(
+    dims=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4),
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    duplicate_rows=st.booleans(),
+    constant_column=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_view_entropies_match_dense_reference_property(dims, n, seed, duplicate_rows, constant_column):
+    rng = np.random.default_rng(seed)
+    views = [rng.standard_normal((n, d)) for d in dims]
+    if duplicate_rows:
+        # every sample appears at least twice, in every view
+        rows = np.arange(n) % max(1, n // 2)
+        views = [x[rows] for x in views]
+    if constant_column:
+        views[-1][:, 0] = 2.5
+    assert_matches_dense_reference(views)
 
 
 def test_kde_entropy_memory_stays_bounded_at_large_n():
@@ -152,6 +218,18 @@ def test_kde_entropy_memory_stays_bounded_at_large_n():
     finally:
         tracemalloc.stop()
     assert np.isfinite(est.value)
+    assert peak < 16 * 2**20
+
+
+def test_total_conditional_entropy_memory_stays_bounded():
+    views = [_normal(8000, 8, 60 + v) for v in range(4)]  # one dense joint block would take 512 MB
+    tracemalloc.start()
+    try:
+        out = total_conditional_entropy(views)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out).all()
     assert peak < 16 * 2**20
 
 
@@ -232,6 +310,24 @@ def test_total_conditional_entropy_invariant_to_other_view_order():
 def test_total_conditional_entropy_needs_two_views():
     with pytest.raises(ValueError, match="at least 2"):
         total_conditional_entropy([np.zeros((10, 2))])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: total_conditional_entropy([np.zeros((1, 2)), np.zeros((1, 3))]), "at least 2 samples"),
+        (lambda: total_conditional_entropy([np.zeros((4, 1)), np.zeros((5, 1))]), "differing row counts"),
+        (lambda: joint_entropy(np.zeros((1, 1)), np.zeros((1, 2))), "at least 2 samples"),
+        (lambda: kde_entropy(np.zeros((1, 3))), "at least 2 samples"),
+    ],
+    ids=["total_n1", "total_row_mismatch", "joint_n1", "kde_n1"],
+)
+def test_input_checks_run_before_any_bandwidth(call, message):
+    # a bandwidth at n=1 is nan with a RuntimeWarning, which this turns into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_label_entropy_uniform_is_log_k():
