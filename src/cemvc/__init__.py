@@ -9,7 +9,6 @@ from .pipeline import (
     RoundTrace,
     run_ablation,
     run_cemvc,
-    run_pipeline,
     run_shared_baseline,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "load_multiview",
     "run_ablation",
     "run_cemvc",
-    "run_pipeline",
     "run_shared_baseline",
     "save_multiview",
     "synth_multiview",

@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,8 @@ from .pipeline import (
     ClusteringResult,
     PipelineConfig,
     run_ablation,
-    run_pipeline,
+    run_cemvc,
+    run_shared_baseline,
 )
 
 _EMBED_FMT = "%.17g"
@@ -98,7 +98,7 @@ def _resolve_config(file_cfg: dict, seed_flag: int | None, n_clusters_hint: int 
     return PipelineConfig(**kwargs)
 
 
-def _config_as_dict(cfg: PipelineConfig) -> dict:
+def _config_as_dict(cfg: PipelineConfig, mode: str) -> dict:
     return {
         "n_clusters": cfg.n_clusters,
         "latent_dim": cfg.latent_dim,
@@ -106,7 +106,7 @@ def _config_as_dict(cfg: PipelineConfig) -> dict:
         "max_outer_iters": cfg.max_outer_iters,
         "tolerance": cfg.tolerance,
         "weighting_mode": cfg.weighting_mode,
-        "decoupled": cfg.decoupled,
+        "decoupled": mode != "shared",
         "standardize": cfg.standardize,
         "kmeans_restarts": cfg.kmeans_restarts,
         "seed": cfg.seed,
@@ -181,8 +181,6 @@ def _cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
     hint = int(data.labels.max()) + 1 if data.labels is not None else None
     cfg = _resolve_config(file_cfg, args.seed, hint)
-    if args.mode in ("cemvc", "shared"):
-        cfg = replace(cfg, decoupled=args.mode == "cemvc")
     run_dir = _new_run_dir(Path(args.out), f"run-{args.mode}")
 
     report: dict = {
@@ -194,10 +192,11 @@ def _cmd_run(args) -> int:
             "dims": data.dims,
             "has_labels": data.labels is not None,
         },
-        "config": _config_as_dict(cfg),
+        "config": _config_as_dict(cfg, args.mode),
     }
     if args.mode in ("cemvc", "shared"):
-        result = run_pipeline(data, cfg)
+        run = run_shared_baseline if args.mode == "shared" else run_cemvc
+        result = run(data, cfg)
         np.savetxt(run_dir / "embedding.csv", result.embedding, delimiter=",", fmt=_EMBED_FMT)
         report["result"] = _result_block(result, "embedding.csv")
     else:  # ablation

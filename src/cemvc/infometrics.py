@@ -169,16 +169,6 @@ def kde_entropy(samples) -> EntropyEstimate:
     return marginal[0]
 
 
-def joint_entropy(a, b) -> EntropyEstimate:
-    """Entropy of the column-concatenation of two equal-length samples."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    _, joint = _view_entropies([a, b])
-    return joint[0, 1]
-
-
 def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
     """Per-view sum over other views u of H(view, u) - H(u).
 

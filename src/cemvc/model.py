@@ -16,14 +16,12 @@ ICML 2016); keeping the reconstruction term while finetuning follows IDEC
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .clustering import soft_assign, soft_assign_input_grad
 from .numcore import (
     DenseNet,
-    Layer,
     Workspace,
     adam_step,
     as_matrix,
@@ -34,8 +32,6 @@ from .numcore import (
     net_param_names,
     net_params,
 )
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -265,43 +261,3 @@ def finetune_view(
                 break
     return model
 
-
-def save_view_model(model: ViewModel, path) -> None:
-    """Bit-exact checkpoint: shapes, parameters, activations, metadata."""
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.array(CHECKPOINT_VERSION),
-        "view_index": np.array(model.view_index),
-        "latent_dim": np.array(model.latent_dim),
-    }
-    for net_name, net in (("encoder", model.encoder), ("decoder", model.decoder)):
-        payload[f"{net_name}_layers"] = np.array(len(net.layers))
-        for i, layer in enumerate(net.layers):
-            payload[f"{net_name}_{i}_weight"] = layer.weight
-            payload[f"{net_name}_{i}_bias"] = layer.bias
-            payload[f"{net_name}_{i}_activation"] = np.array(layer.activation)
-    np.savez(path, **payload)
-
-
-def load_view_model(path) -> ViewModel:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing checkpoint: {path}")
-    with np.load(path, allow_pickle=False) as arrs:
-        version = int(arrs["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        nets = {}
-        for net_name in ("encoder", "decoder"):
-            layers = []
-            for i in range(int(arrs[f"{net_name}_layers"])):
-                layers.append(
-                    Layer(
-                        arrs[f"{net_name}_{i}_weight"],
-                        arrs[f"{net_name}_{i}_bias"],
-                        str(arrs[f"{net_name}_{i}_activation"]),
-                    )
-                )
-            nets[net_name] = DenseNet(layers)
-        return ViewModel(
-            nets["encoder"], nets["decoder"], int(arrs["view_index"]), int(arrs["latent_dim"])
-        )

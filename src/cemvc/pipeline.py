@@ -6,7 +6,8 @@ latent blocks under the current weights, cluster the fused matrix into
 unified soft labels, score each view (conditional entropy + agreement with
 the unified labels), refresh the weights, sharpen the unified labels into
 a target, and finetune each view's autoencoder against that target.
-Weights produced at iteration t scale the fusion at iteration t+1.
+Weights produced at iteration t scale the fusion at iteration t+1. The
+shared baseline runs the same loop over one net with no scoring step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class PipelineConfig:
     max_outer_iters: int = 30
     tolerance: float = 1e-3  # fraction of unified labels allowed to change
     weighting_mode: str = "enmi_ce"
-    decoupled: bool = True
     standardize: bool = True
     kmeans_restarts: int = 8  # seedings for each fresh (non-warm-start) k-means
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -98,46 +98,34 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sigma
 
 
-def _validate(data: MultiViewDataset, cfg: PipelineConfig, min_views: int) -> None:
-    if data.n_views < min_views:
-        raise ValueError(f"need at least {min_views} views, got {data.n_views}")
+def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> ClusteringResult:
+    """The outer loop of both methods.
+
+    The decoupled run trains one net per view and reweights the views every
+    round. The shared baseline is the same loop over one net on the
+    concatenated views: its single weight stays 1, so fusion is a copy of
+    its latent, and nothing is scored.
+    """
+    if data.n_views < 2:
+        raise ValueError(f"need at least 2 views, got {data.n_views}")
     if data.n_samples < cfg.n_clusters:
         raise ValueError(
             f"cannot form {cfg.n_clusters} clusters from {data.n_samples} samples"
         )
-
-
-def _prepared_views(data: MultiViewDataset, cfg: PipelineConfig) -> list[np.ndarray]:
     if cfg.standardize:
-        return [_standardize_columns(v) for v in data.views]
-    return [np.asarray(v, dtype=np.float64) for v in data.views]
-
-
-def _finish(
-    data: MultiViewDataset,
-    labels: np.ndarray,
-    soft: np.ndarray,
-    traces: list[RoundTrace],
-    embedding: np.ndarray,
-    mode: str,
-) -> ClusteringResult:
-    metrics = evaluate(labels, data.labels) if data.labels is not None else None
-    return ClusteringResult(labels, soft, traces, metrics, embedding, mode)
-
-
-def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
-    """Full parameter-decoupled run with adaptive view weighting."""
-    _validate(data, cfg, min_views=2)
-    views = _prepared_views(data, cfg)
+        views = [_standardize_columns(v) for v in data.views]
+    else:
+        views = [np.asarray(v, dtype=np.float64) for v in data.views]
+    inputs = [np.hstack(views)] if shared else views
     n_views = data.n_views
     k = cfg.n_clusters
     train_cfg = replace(cfg.train, seed=cfg.seed)
 
     models = [
-        pretrain(views[v], cfg.hidden_dims, cfg.latent_dim, train_cfg, view_index=v)
-        for v in range(n_views)
+        pretrain(x, cfg.hidden_dims, cfg.latent_dim, train_cfg, view_index=v)
+        for v, x in enumerate(inputs)
     ]
-    weights = init_weights([cfg.latent_dim] * n_views)
+    weights = init_weights([cfg.latent_dim] * len(inputs))
 
     traces: list[RoundTrace] = []
     prev_labels: np.ndarray | None = None
@@ -147,7 +135,7 @@ def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
 
     t = 0
     while True:
-        reps = [encode(m, x) for m, x in zip(models, views)]
+        reps = [encode(m, x) for m, x in zip(models, inputs)]
         fusion = _fusion_weights(weights)
         fused = scale_representations(fusion, reps)
         if unified_centroids is not None:
@@ -160,7 +148,7 @@ def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
             init = None
         prev_fusion = fusion.weights
         unified_soft, unified_centroids_new = unified_soft_labels(
-            fused.matrix,
+            fused,
             k,
             seed=(cfg.seed, 3, t),
             init=init,
@@ -170,101 +158,72 @@ def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
         change = 1.0 if prev_labels is None else float(np.mean(labels != prev_labels))
         converged = prev_labels is not None and change < cfg.tolerance
         if converged or t >= cfg.max_outer_iters:
-            return _finish(data, labels, unified_soft, traces, fused.matrix, cfg.weighting_mode)
+            metrics = evaluate(labels, data.labels) if data.labels is not None else None
+            mode = "shared" if shared else cfg.weighting_mode
+            return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode)
         prev_labels = labels
         unified_centroids = unified_centroids_new
 
-        # Conditional entropies are scored on the raw (unweighted) latents;
-        # the weighted blocks would fold the previous weights back into the
-        # score through the scale-equivariant density estimate.
-        cond = total_conditional_entropy(reps)
-
-        view_soft = []
-        for v in range(n_views):
-            centroids_v, _ = kmeans(
-                reps[v],
-                k,
-                seed=(cfg.seed, 4, t, v),
-                init=view_centroids[v],
-                n_init=cfg.kmeans_restarts,
-            )
-            view_centroids[v] = centroids_v
-            view_soft.append(soft_assign(reps[v], centroids_v))
-        nmis = np.array([nmi(hard_labels(sl), labels) for sl in view_soft])
-
-        weights = update_weights(weights, view_soft, unified_soft, cond, mode=cfg.weighting_mode)
+        if shared:
+            # the fused matrix is the one net's latent, so the net trains
+            # against the unified centroids; there is nothing to score
+            cond = np.full(n_views, np.nan)
+            nmis = np.full(n_views, np.nan)
+            centroids = [unified_centroids]
+        else:
+            # Conditional entropies are scored on the raw (unweighted)
+            # latents; the weighted blocks would fold the previous weights
+            # back into the score through the scale-equivariant density
+            # estimate.
+            cond = total_conditional_entropy(reps)
+            for v in range(n_views):
+                view_centroids[v], _ = kmeans(
+                    reps[v],
+                    k,
+                    seed=(cfg.seed, 4, t, v),
+                    init=view_centroids[v],
+                    n_init=cfg.kmeans_restarts,
+                )
+            nmis = np.array([
+                nmi(hard_labels(soft_assign(r, c)), labels) for r, c in zip(reps, view_centroids)
+            ])
+            weights = update_weights(weights, nmis, cond, cfg.weighting_mode)
+            centroids = view_centroids
         target = target_distribution(unified_soft)
 
-        losses = np.empty(n_views)
-        for v in range(n_views):
-            finetune_view(models[v], views[v], target, view_centroids[v], train_cfg)
-            losses[v] = combined_loss(
-                models[v], views[v], target, view_centroids[v], train_cfg.clustering_weight
-            )
+        losses = np.empty(len(models))
+        for v, (model, x, c) in enumerate(zip(models, inputs, centroids)):
+            finetune_view(model, x, target, c, train_cfg)
+            losses[v] = combined_loss(model, x, target, c, train_cfg.clustering_weight)
 
-        traces.append(
-            RoundTrace(t, weights.weights.copy(), cond, nmis, losses, change)
-        )
-        t += 1
-
-
-def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
-    """One shared autoencoder over the concatenated raw views.
-
-    Single parameter set, self-training against its own sharpened labels;
-    no weighting and no conditional-entropy scoring. Trace vectors keep the
-    per-view shape: weights are all 1, entropy/agreement slots are nan, and
-    the shared combined loss is replicated across views.
-    """
-    _validate(data, cfg, min_views=2)
-    views = _prepared_views(data, cfg)
-    n_views = data.n_views
-    k = cfg.n_clusters
-    train_cfg = replace(cfg.train, seed=cfg.seed)
-    x = np.hstack(views)
-
-    model = pretrain(x, cfg.hidden_dims, cfg.latent_dim, train_cfg, view_index=0)
-
-    traces: list[RoundTrace] = []
-    prev_labels: np.ndarray | None = None
-    centroids: np.ndarray | None = None
-
-    t = 0
-    while True:
-        latent = encode(model, x)
-        soft, centroids_new = unified_soft_labels(
-            latent, k, seed=(cfg.seed, 3, t), init=centroids, n_init=cfg.kmeans_restarts
-        )
-        labels = hard_labels(soft)
-        change = 1.0 if prev_labels is None else float(np.mean(labels != prev_labels))
-        converged = prev_labels is not None and change < cfg.tolerance
-        if converged or t >= cfg.max_outer_iters:
-            return _finish(data, labels, soft, traces, latent, "shared")
-        prev_labels = labels
-        centroids = centroids_new
-
-        target = target_distribution(soft)
-        finetune_view(model, x, target, centroids, train_cfg)
-        loss = combined_loss(model, x, target, centroids, train_cfg.clustering_weight)
-
+        # the shared net's weight and loss fill every view's slot
         traces.append(
             RoundTrace(
                 t,
-                np.ones(n_views),
-                np.full(n_views, np.nan),
-                np.full(n_views, np.nan),
-                np.full(n_views, loss),
+                np.resize(weights.weights, n_views),
+                cond,
+                nmis,
+                np.resize(losses, n_views),
                 change,
             )
         )
         t += 1
 
 
-def run_pipeline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
-    """Dispatch on cfg.decoupled: weighted per-view run or shared baseline."""
-    if cfg.decoupled:
-        return run_cemvc(data, cfg)
-    return run_shared_baseline(data, cfg)
+def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
+    """Full parameter-decoupled run with adaptive view weighting."""
+    return _run(data, cfg, shared=False)
+
+
+def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
+    """One shared autoencoder over the concatenated views.
+
+    Single parameter set, self-training against its own sharpened labels;
+    no weighting and no conditional-entropy scoring. Trace vectors keep the
+    per-view shape: weights are all 1, entropy/agreement slots are nan, and
+    the shared combined loss is replicated across views.
+    """
+    return _run(data, cfg, shared=True)
 
 
 def run_ablation(

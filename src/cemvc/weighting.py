@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import hard_labels
-from .infometrics import nmi
 from .numcore import as_matrix
 
 WEIGHT_MODES = ("nmi", "enmi", "enmi_ce")
@@ -48,24 +46,6 @@ class ViewWeights:
         return self.weights.size
 
 
-@dataclass(frozen=True)
-class FusedRepresentation:
-    """Weighted column-concatenation of per-view latent blocks.
-
-    `offsets` has length V+1; block v spans columns offsets[v]:offsets[v+1].
-    """
-
-    matrix: np.ndarray
-    offsets: tuple[int, ...]
-
-    def view_block(self, v: int) -> np.ndarray:
-        return self.matrix[:, self.offsets[v] : self.offsets[v + 1]]
-
-    @property
-    def n_views(self) -> int:
-        return len(self.offsets) - 1
-
-
 def init_weights(view_dims: Sequence[int]) -> ViewWeights:
     """Unit weight per view: every view starts equally informative."""
     if len(view_dims) == 0:
@@ -75,9 +55,7 @@ def init_weights(view_dims: Sequence[int]) -> ViewWeights:
     return ViewWeights(np.ones(len(view_dims)), iteration=0)
 
 
-def scale_representations(
-    w: ViewWeights, reps: Sequence[np.ndarray]
-) -> FusedRepresentation:
+def scale_representations(w: ViewWeights, reps: Sequence[np.ndarray]) -> np.ndarray:
     """Multiply each view block by its weight and concatenate columns."""
     if len(reps) != w.n_views:
         raise ValueError(f"{len(reps)} views but {w.n_views} weights")
@@ -85,9 +63,7 @@ def scale_representations(
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"views have differing row counts: {sorted(rows)}")
-    blocks = [m * w.weights[v] for v, m in enumerate(mats)]
-    offsets = np.concatenate([[0], np.cumsum([m.shape[1] for m in mats])])
-    return FusedRepresentation(np.hstack(blocks), tuple(int(o) for o in offsets))
+    return np.hstack([m * w.weights[v] for v, m in enumerate(mats)])
 
 
 def normalize_entropies(values: np.ndarray) -> np.ndarray:
@@ -101,38 +77,26 @@ def normalize_entropies(values: np.ndarray) -> np.ndarray:
 
 def update_weights(
     previous: ViewWeights,
-    view_soft_labels: Sequence[np.ndarray],
-    unified_soft_labels: np.ndarray,
+    consistency: np.ndarray,
     cond_entropies: np.ndarray,
     mode: str = "enmi_ce",
 ) -> ViewWeights:
-    """Recompute every view weight from the current round's labelings.
+    """Recompute every view weight from the current round's scores.
 
-    Modes: "nmi" uses the consistency score directly, "enmi" applies
-    exp(score)-1, "enmi_ce" additionally divides by the normalized
-    conditional entropy so redundant or noisy views shrink further.
+    `consistency` holds each view's NMI with the unified labels. Modes:
+    "nmi" uses it directly, "enmi" applies exp(score)-1, "enmi_ce"
+    additionally divides by the normalized conditional entropy so redundant
+    or noisy views shrink further.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weighting mode {mode!r}, expected one of {WEIGHT_MODES}")
     n_views = previous.n_views
-    if len(view_soft_labels) != n_views:
-        raise ValueError(f"{len(view_soft_labels)} soft-label matrices for {n_views} views")
+    consistency = np.asarray(consistency, dtype=np.float64)
+    if consistency.shape != (n_views,):
+        raise ValueError(f"consistency has shape {consistency.shape}, expected ({n_views},)")
     cond = np.asarray(cond_entropies, dtype=np.float64)
     if cond.shape != (n_views,):
         raise ValueError(f"conditional entropies have shape {cond.shape}, expected ({n_views},)")
-    unified = as_matrix(unified_soft_labels, "unified soft labels")
-    k = unified.shape[1]
-    mats = []
-    for v, sl in enumerate(view_soft_labels):
-        m = as_matrix(sl, f"view {v} soft labels")
-        if m.shape != unified.shape:
-            raise ValueError(
-                f"view {v} soft labels have shape {m.shape}, expected {unified.shape} "
-                f"(K={k} clusters)"
-            )
-        mats.append(m)
-    unified_hard = hard_labels(unified)
-    consistency = np.array([nmi(hard_labels(m), unified_hard) for m in mats])
     if mode == "nmi":
         base = consistency
     else:

@@ -7,11 +7,12 @@ so they are computed once per session and shared across criteria.
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cemvc.bench import PRESETS, preset_dataset
-from cemvc.clustering import kmeans, soft_assign, unified_soft_labels
-from cemvc.infometrics import total_conditional_entropy
+from cemvc.clustering import hard_labels, kmeans, soft_assign, unified_soft_labels
+from cemvc.infometrics import nmi, total_conditional_entropy
 from cemvc.model import encode, pretrain
 from cemvc.pipeline import run_cemvc, run_shared_baseline
 from cemvc.weighting import init_weights, scale_representations, update_weights
@@ -84,7 +85,7 @@ def first_round_stats():
         weights = init_weights([cfg.latent_dim] * data.n_views)
         fused = scale_representations(weights, reps)
         unified_soft, _ = unified_soft_labels(
-            fused.matrix, k, seed=(s, 3, 0), n_init=cfg.kmeans_restarts
+            fused, k, seed=(s, 3, 0), n_init=cfg.kmeans_restarts
         )
         cond = total_conditional_entropy(reps)
         view_soft = []
@@ -93,6 +94,8 @@ def first_round_stats():
                 reps[v], k, seed=(s, 4, 0, v), n_init=cfg.kmeans_restarts
             )
             view_soft.append(soft_assign(reps[v], centroids_v))
-        updated = update_weights(weights, view_soft, unified_soft, cond)
+        labels = hard_labels(unified_soft)
+        nmis = np.array([nmi(hard_labels(sl), labels) for sl in view_soft])
+        updated = update_weights(weights, nmis, cond)
         stats.append({"cond_entropies": cond, "weights": updated.weights})
     return time.time() - start, stats

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 
 from cemvc import infometrics
 from cemvc.infometrics import (
-    joint_entropy,
     kde_entropy,
     label_entropy,
     mutual_information,
@@ -233,16 +232,21 @@ def test_total_conditional_entropy_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
+def joint_entropy(a, b) -> float:
+    """KDE entropy of the column-concatenation [a, b], from the scoring sweep."""
+    return infometrics._view_entropies([a, b])[1][0, 1].value
+
+
 def test_joint_entropy_independent_normals_adds_up():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((2000, 1))
     b = rng.standard_normal((2000, 1))
-    assert joint_entropy(a, b).value == pytest.approx(2 * GAUSSIAN_ENTROPY_1D, abs=0.2)
+    assert joint_entropy(a, b) == pytest.approx(2 * GAUSSIAN_ENTROPY_1D, abs=0.2)
 
 
 def test_joint_entropy_duplicate_is_below_independent_sum():
     a = np.random.default_rng(7).standard_normal((400, 2))
-    joint = joint_entropy(a, a).value
+    joint = joint_entropy(a, a)
     assert joint < kde_entropy(a).value * 2
 
 
@@ -250,12 +254,7 @@ def test_joint_entropy_symmetric():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((150, 2))
     b = rng.standard_normal((150, 3))
-    assert joint_entropy(a, b).value == pytest.approx(joint_entropy(b, a).value, abs=1e-9)
-
-
-def test_joint_entropy_rejects_row_mismatch():
-    with pytest.raises(ValueError, match="row counts"):
-        joint_entropy(np.zeros((4, 1)), np.zeros((5, 1)))
+    assert joint_entropy(a, b) == pytest.approx(joint_entropy(b, a), abs=1e-9)
 
 
 def test_total_conditional_entropy_two_views_single_term():
@@ -263,7 +262,7 @@ def test_total_conditional_entropy_two_views_single_term():
     a = rng.standard_normal((100, 2))
     b = rng.standard_normal((100, 2))
     out = total_conditional_entropy([a, b])
-    expected_a = joint_entropy(a, b).value - kde_entropy(b).value
+    expected_a = joint_entropy(a, b) - kde_entropy(b).value
     assert out[0] == pytest.approx(expected_a, abs=1e-12)
     assert out.shape == (2,)
 
@@ -307,6 +306,21 @@ def test_total_conditional_entropy_invariant_to_other_view_order():
     assert out[0] == pytest.approx(swapped[0], abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [0.5, 3.0, 1e-3])
+def test_total_conditional_entropy_scale_shift_is_exact(c):
+    # Silverman bandwidths scale with sigma (here far above SIGMA_FLOOR), so
+    # scaling view v by c shifts H(v) and every H(v, u) by d_v log c. View
+    # v's score sums V-1 such joints over unmoved marginals; in another
+    # view's score the shifts of H(w, v) and H(v) cancel.
+    rng = np.random.default_rng(21)
+    views = [rng.standard_normal((300, d)) for d in (8, 3, 5)]
+    base = total_conditional_entropy(views)
+    scaled = total_conditional_entropy([views[0], c * views[1], views[2]])
+    expected = base.copy()
+    expected[1] += (3 - 1) * 3 * np.log(c)
+    np.testing.assert_allclose(scaled, expected, rtol=0, atol=1e-9)
+
+
 def test_total_conditional_entropy_needs_two_views():
     with pytest.raises(ValueError, match="at least 2"):
         total_conditional_entropy([np.zeros((10, 2))])
@@ -317,10 +331,9 @@ def test_total_conditional_entropy_needs_two_views():
     [
         (lambda: total_conditional_entropy([np.zeros((1, 2)), np.zeros((1, 3))]), "at least 2 samples"),
         (lambda: total_conditional_entropy([np.zeros((4, 1)), np.zeros((5, 1))]), "differing row counts"),
-        (lambda: joint_entropy(np.zeros((1, 1)), np.zeros((1, 2))), "at least 2 samples"),
         (lambda: kde_entropy(np.zeros((1, 3))), "at least 2 samples"),
     ],
-    ids=["total_n1", "total_row_mismatch", "joint_n1", "kde_n1"],
+    ids=["total_n1", "total_row_mismatch", "kde_n1"],
 )
 def test_input_checks_run_before_any_bandwidth(call, message):
     # a bandwidth at n=1 is nan with a RuntimeWarning, which this turns into an error

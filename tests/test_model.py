@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 
@@ -13,12 +14,10 @@ from cemvc.model import (
     combined_loss,
     encode,
     finetune_view,
-    load_view_model,
     model_params,
     pretrain,
     reconstruct,
     reconstruction_loss,
-    save_view_model,
     _loss_and_grads,
 )
 
@@ -150,7 +149,7 @@ def test_finetune_lambda_zero_matches_pure_reconstruction_trajectory():
     x = rng.standard_normal((40, 5))
     cfg = TrainConfig(pretrain_epochs=30, learning_rate=2e-3, seed=8)
     base = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg)
-    twin = load_view_model_roundtrip(base)
+    twin = copy.deepcopy(base)
 
     steps_cfg = TrainConfig(
         finetune_steps_per_round=25, clustering_weight=0.0, learning_rate=2e-3, seed=8
@@ -159,15 +158,6 @@ def test_finetune_lambda_zero_matches_pure_reconstruction_trajectory():
     # same number of pure-reconstruction steps from identical parameters
     finetune_view(twin, x, np.full((40, 3), np.nan), np.zeros((3, 2)), steps_cfg)
     assert param_checksum(base) == param_checksum(twin)
-
-
-def load_view_model_roundtrip(model, tmp_dir="/tmp"):
-    import tempfile
-
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as fh:
-        path = fh.name
-    save_view_model(model, path)
-    return load_view_model(path)
 
 
 def test_finetune_lambda_zero_never_reads_target():
@@ -234,24 +224,6 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, x, np.zeros((10, 3)), np.zeros((4, 2)), cfg)
     with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
         finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = jittered_model(6, (7, 5), 3, seed=14)
-    path = tmp_path / "view.npz"
-    save_view_model(model, path)
-    loaded = load_view_model(path)
-    assert loaded.view_index == model.view_index
-    assert loaded.latent_dim == model.latent_dim
-    for a, b in zip(model_params(model), model_params(loaded)):
-        assert np.array_equal(a, b)
-    acts = [l.activation for l in loaded.encoder.layers]
-    assert acts == [l.activation for l in model.encoder.layers]
-
-
-def test_checkpoint_missing_file_raises(tmp_path):
-    with pytest.raises(FileNotFoundError, match="ghost"):
-        load_view_model(tmp_path / "ghost.npz")
 
 
 def test_train_config_validation():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import cemvc.pipeline as pipeline_module
-from cemvc.data import inject_noise_view, synth_multiview
+from cemvc.data import MultiViewDataset, inject_noise_view, synth_multiview
 from cemvc.model import TrainConfig, model_params
 from cemvc.pipeline import (
     PipelineConfig,
     run_ablation,
     run_cemvc,
-    run_pipeline,
     run_shared_baseline,
 )
+from cemvc.weighting import WEIGHT_FLOOR
 
 
 def tiny_cfg(seed=0, **overrides):
@@ -181,11 +181,58 @@ def test_ablation_modes_identical_on_duplicated_views():
         assert np.array_equal(results["nmi"].labels, results[mode].labels)
 
 
-def test_run_pipeline_dispatches_on_decoupled_flag(tiny_data):
-    decoupled = run_pipeline(tiny_data, tiny_cfg(decoupled=True))
-    shared = run_pipeline(tiny_data, tiny_cfg(decoupled=False))
-    assert decoupled.mode == "enmi_ce"
-    assert shared.mode == "shared"
+@pytest.mark.parametrize(
+    "mode, numerator", [("nmi", lambda s: s), ("enmi", np.expm1)], ids=["nmi", "enmi"]
+)
+def test_trace_weights_come_from_reported_nmis(tiny_data, mode, numerator):
+    # the noise view's agreement is fractional, so the check is not 1 == 1
+    noisy = inject_noise_view(tiny_data, 20, seed=(0, 99))
+    result = run_cemvc(noisy, tiny_cfg(weighting_mode=mode, tolerance=0.0, max_outer_iters=3))
+    assert len(result.traces) == 3
+    for trace in result.traces:
+        assert np.array_equal(trace.weights, numerator(trace.nmi_to_unified) + WEIGHT_FLOOR)
+
+
+def _degenerate(case: str) -> MultiViewDataset:
+    base = synth_multiview(60, 3, 2, 5, 7.0, seed=7)
+    a, b = base.views
+    rows = slice(None)
+    if case == "d1_view":
+        a = a[:, :1]
+    elif case == "constant_column":
+        a = a.copy()
+        a[:, 0] = 2.5
+    elif case == "constant_view":
+        b = np.full_like(b, 4.0)
+    elif case == "triplicated_rows":
+        rows = np.repeat(np.arange(20), 3)
+    elif case == "n_eq_k":
+        rows = slice(0, 3)
+    elif case == "n_eq_k_plus_1":
+        rows = slice(0, 4)
+    return MultiViewDataset([a[rows], b[rows]], base.labels[rows])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", [run_cemvc, run_shared_baseline], ids=["cemvc", "shared"])
+@pytest.mark.parametrize(
+    "case",
+    ["d1_view", "constant_column", "constant_view", "triplicated_rows", "n_eq_k", "n_eq_k_plus_1"],
+)
+def test_degenerate_inputs_run_to_the_cap(case, run):
+    data = _degenerate(case)
+    cfg = tiny_cfg(
+        tolerance=0.0,
+        max_outer_iters=3,
+        train=TrainConfig(pretrain_epochs=20, finetune_steps_per_round=5),
+    )
+    result = run(data, cfg)
+    assert len(result.traces) == 3
+    assert result.labels.shape == (data.n_samples,)
+    assert ((result.labels >= 0) & (result.labels < 3)).all()
+    assert np.isfinite(result.embedding).all()
+    for trace in result.traces:
+        assert np.isfinite(trace.weights).all()
 
 
 def test_config_validation():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cemvc.clustering import hard_labels
+from cemvc.infometrics import nmi
 from cemvc.weighting import (
     NORM_FLOOR,
     WEIGHT_FLOOR,
@@ -20,6 +22,12 @@ def one_hot(labels, k):
     out = np.zeros((len(labels), k))
     out[np.arange(len(labels)), labels] = 1.0
     return out
+
+
+def consistency(view_softs, unified_soft):
+    """Each view's NMI with the unified labels, as the pipeline scores it."""
+    unified = hard_labels(unified_soft)
+    return np.array([nmi(hard_labels(sl), unified) for sl in view_softs])
 
 
 def test_init_weights_all_ones():
@@ -43,9 +51,9 @@ def test_scale_with_unit_weights_is_concatenation():
     rng = np.random.default_rng(0)
     reps = [rng.standard_normal((6, 2)), rng.standard_normal((6, 3))]
     fused = scale_representations(init_weights([2, 3]), reps)
-    assert np.array_equal(fused.matrix, np.hstack(reps))
-    assert fused.offsets == (0, 2, 5)
-    assert np.array_equal(fused.view_block(1), reps[1])
+    assert np.array_equal(fused, np.hstack(reps))
+    assert fused.shape == (6, 5)
+    assert np.array_equal(fused[:, 2:5], reps[1])
 
 
 def test_scale_doubling_one_weight_touches_only_that_block():
@@ -53,8 +61,8 @@ def test_scale_doubling_one_weight_touches_only_that_block():
     reps = [rng.standard_normal((5, 2)), rng.standard_normal((5, 2))]
     base = scale_representations(ViewWeights(np.array([1.0, 1.0])), reps)
     bumped = scale_representations(ViewWeights(np.array([1.0, 2.0])), reps)
-    assert np.array_equal(bumped.view_block(0), base.view_block(0))
-    assert np.array_equal(bumped.view_block(1), 2.0 * base.view_block(1))
+    assert np.array_equal(bumped[:, 0:2], base[:, 0:2])
+    assert np.array_equal(bumped[:, 2:4], 2.0 * base[:, 2:4])
 
 
 def test_scale_rejects_view_count_mismatch():
@@ -79,8 +87,7 @@ def test_update_identical_labels_gives_e_minus_one_numerator():
     sl = one_hot(labels, 3)
     w = update_weights(
         init_weights([2, 2]),
-        [sl, sl.copy()],
-        sl.copy(),
+        consistency([sl, sl.copy()], sl.copy()),
         np.array([1.0, 1.0]),
         mode="enmi_ce",
     )
@@ -95,8 +102,7 @@ def test_update_independent_labels_numerator_near_zero():
     independent = one_hot(rng.integers(0, 3, size=6000), 3)
     w = update_weights(
         init_weights([2, 2]),
-        [unified.copy(), independent],
-        unified,
+        consistency([unified.copy(), independent], unified),
         np.array([1.0, 1.0]),
     )
     assert w.weights[1] < 0.02
@@ -109,20 +115,19 @@ def test_update_low_entropy_view_gets_larger_weight():
     sl = one_hot(labels, 3)
     w = update_weights(
         init_weights([2, 2]),
-        [sl, sl.copy()],
-        sl.copy(),
+        consistency([sl, sl.copy()], sl.copy()),
         np.array([0.5, 2.0]),
     )
     assert w.weights[0] > w.weights[1]
 
 
-def test_update_rejects_k_mismatch():
+def test_update_rejects_consistency_length_mismatch():
     labels = np.arange(12) % 3
-    with pytest.raises(ValueError, match="shape"):
+    sl = one_hot(labels, 3)
+    with pytest.raises(ValueError, match="consistency has shape"):
         update_weights(
             init_weights([2, 2]),
-            [one_hot(labels, 3), one_hot(labels % 2, 2)],
-            one_hot(labels, 3),
+            consistency([sl, sl.copy(), sl.copy()], sl),
             np.array([1.0, 1.0]),
         )
 
@@ -134,10 +139,10 @@ def test_update_invariant_to_cluster_relabeling():
     sl = one_hot(labels, 3)
     relabeled = one_hot((labels + 1) % 3, 3)
     base = update_weights(
-        init_weights([2, 2]), [sl, sl.copy()], unified, np.array([1.0, 2.0])
+        init_weights([2, 2]), consistency([sl, sl.copy()], unified), np.array([1.0, 2.0])
     )
     permuted = update_weights(
-        init_weights([2, 2]), [relabeled, sl.copy()], unified, np.array([1.0, 2.0])
+        init_weights([2, 2]), consistency([relabeled, sl.copy()], unified), np.array([1.0, 2.0])
     )
     assert base.weights == pytest.approx(permuted.weights)
 
@@ -147,8 +152,7 @@ def test_update_nmi_mode_uses_raw_consistency():
     sl = one_hot(labels, 3)
     w = update_weights(
         init_weights([2, 2]),
-        [sl, sl.copy()],
-        sl.copy(),
+        consistency([sl, sl.copy()], sl.copy()),
         np.array([1.0, 5.0]),
         mode="nmi",
     )
@@ -161,8 +165,9 @@ def test_update_enmi_and_enmi_ce_agree_on_equal_entropies():
     unified = one_hot(rng.integers(0, 3, size=40), 3)
     sls = [one_hot(rng.integers(0, 3, size=40), 3) for _ in range(2)]
     cond = np.array([2.5, 2.5])
-    w_enmi = update_weights(init_weights([2, 2]), sls, unified, cond, mode="enmi")
-    w_full = update_weights(init_weights([2, 2]), sls, unified, cond, mode="enmi_ce")
+    scores = consistency(sls, unified)
+    w_enmi = update_weights(init_weights([2, 2]), scores, cond, mode="enmi")
+    w_full = update_weights(init_weights([2, 2]), scores, cond, mode="enmi_ce")
     assert w_enmi.weights == pytest.approx(w_full.weights)
 
 
@@ -170,7 +175,7 @@ def test_update_rejects_unknown_mode():
     labels = np.arange(9) % 3
     sl = one_hot(labels, 3)
     with pytest.raises(ValueError, match="mode"):
-        update_weights(init_weights([2, 2]), [sl, sl], sl, np.zeros(2), mode="magic")
+        update_weights(init_weights([2, 2]), consistency([sl, sl], sl), np.zeros(2), mode="magic")
 
 
 @given(
@@ -184,7 +189,7 @@ def test_update_weights_always_strictly_positive(entropies, seed):
     unified = one_hot(rng.integers(0, 3, size=24), 3)
     sls = [one_hot(rng.integers(0, 3, size=24), 3) for _ in range(n_views)]
     w = update_weights(
-        init_weights([2] * n_views), sls, unified, np.array(entropies)
+        init_weights([2] * n_views), consistency(sls, unified), np.array(entropies)
     )
     assert (w.weights > 0).all()
 
@@ -199,6 +204,6 @@ def test_update_monotone_in_entropy_for_equal_consistency(seed):
     unified = one_hot(rng.integers(0, 3, size=30), 3)
     entropies = np.sort(rng.uniform(-5, 5, size=3))
     w = update_weights(
-        init_weights([2] * 3), [sl, sl.copy(), sl.copy()], unified, entropies
+        init_weights([2] * 3), consistency([sl, sl.copy(), sl.copy()], unified), entropies
     )
     assert w.weights[0] >= w.weights[1] >= w.weights[2]
