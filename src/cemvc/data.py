@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,25 +139,50 @@ def inject_noise_view(
 def _read_numeric_csv(path: Path) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"missing data file: {path}")
-    rows: list[list[float]] = []
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as numpy's warning
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, dtype=np.float64, encoding="utf-8"
+            )
+    except ValueError as err:
+        _locate_bad_line(path)
+        raise ValueError(f"{path}: {err}") from None
+    if mat.shape[0] == 0:
+        raise ValueError(f"{path}: file contains no data rows")
+    return mat
+
+
+def _locate_bad_line(path: Path) -> None:
+    """Raise a `file:line` error for a line that `np.loadtxt` rejects.
+
+    Empty lines are not rows, and numpy skips them too. A line of only
+    whitespace is an error, but only once the file has a data row, so a
+    file of nothing but blank lines still has no data rows. Returns when no
+    line is bad, so the caller reports numpy's own message.
+    """
+    n_cols = None
+    blank_at = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            stripped = line.strip()
+            if not stripped:
+                if blank_at is None and line.strip("\r\n"):
+                    blank_at = lineno
                 continue
-            cells = line.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(c for c in cells if not _is_float(c))
-                raise ValueError(f"{path}:{lineno}: non-numeric value {bad!r}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(rows[-1])}"
-                )
-    if not rows:
+            cells = stripped.split(",")
+            bad = next((c for c in cells if not _is_float(c)), None)
+            if bad is not None:
+                raise ValueError(f"{path}:{lineno}: non-numeric value {bad!r}")
+            if n_cols is None:
+                n_cols = len(cells)
+            elif len(cells) != n_cols:
+                raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
+    if n_cols is None:
         raise ValueError(f"{path}: file contains no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    if blank_at is not None:
+        raise ValueError(f"{path}:{blank_at}: line holds only whitespace")
 
 
 def _line_of_row(path: Path, row: int) -> int:

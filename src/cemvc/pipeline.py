@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import hard_labels, kmeans, soft_assign, target_distribution, unified_soft_labels
+from .clustering import hard_labels, kmeans, target_distribution, unified_soft_labels
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
@@ -176,17 +176,16 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
             # back into the score through the scale-equivariant density
             # estimate.
             cond = total_conditional_entropy(reps)
+            nmis = np.empty(n_views)
             for v in range(n_views):
-                view_centroids[v], _ = kmeans(
+                view_centroids[v], view_labels = kmeans(
                     reps[v],
                     k,
                     seed=(cfg.seed, 4, t, v),
                     init=view_centroids[v],
                     n_init=cfg.kmeans_restarts,
                 )
-            nmis = np.array([
-                nmi(hard_labels(soft_assign(r, c)), labels) for r, c in zip(reps, view_centroids)
-            ])
+                nmis[v] = nmi(view_labels, labels)
             weights = update_weights(weights, nmis, cond, cfg.weighting_mode)
             centroids = view_centroids
         target = target_distribution(unified_soft)

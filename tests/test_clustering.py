@@ -99,6 +99,26 @@ def test_kmeans_accepts_warm_start():
     assert clustering_accuracy(labels, truth) == 1.0
 
 
+def test_kmeans_reseeds_an_empty_cluster_to_the_farthest_point():
+    rng = np.random.default_rng(13)
+    x = np.vstack([rng.standard_normal((20, 2)) * 0.5 + c for c in ([0, 0], [10, 0], [-10, 0])])
+    truth = np.repeat([0, 1, 2], 20)
+    # the third centroid is nearest to no point, so its cluster starts empty
+    init = np.array([[0.0, 0.0], [10.0, 0.0], [1000.0, 0.0]])
+    first, _ = kmeans(x, 3, init=init, max_iter=1)
+    farthest = np.argmax(((x - init[2]) ** 2).sum(axis=1))
+    assert np.array_equal(first[2], x[farthest])
+    # the other two take their members' means; cloud 2 joins centroid 0
+    assert np.array_equal(first[0], x[truth != 1].mean(axis=0))
+    assert np.array_equal(first[1], x[truth == 1].mean(axis=0))
+    centroids, labels = kmeans(x, 3, init=init)
+    assert (np.bincount(labels, minlength=3) > 0).all()
+    assert clustering_accuracy(labels, truth) == 1.0
+    again = kmeans(x, 3, init=init)
+    assert np.array_equal(centroids, again[0])
+    assert np.array_equal(labels, again[1])
+
+
 def test_soft_assign_near_centroid_takes_most_mass():
     centroids = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     q = soft_assign(np.array([[0.0, 0.0]]), centroids)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cemvc.clustering import kmeans
 from cemvc.data import (
     MultiViewDataset,
+    _read_numeric_csv,
     inject_noise_view,
     load_multiview,
     save_multiview,
@@ -115,7 +117,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     loaded = load_multiview(manifest)
     assert loaded.name == data.name
     for a, b in zip(data.views, loaded.views):
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
     assert np.array_equal(data.labels, loaded.labels)
 
 
@@ -184,3 +186,56 @@ def test_load_missing_file_names_it(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"views": ["ghost.csv"]}))
     with pytest.raises(FileNotFoundError, match="ghost.csv"):
         load_multiview(tmp_path / "manifest.json")
+
+
+# bit patterns that save_multiview -> load_multiview must keep: signed
+# zero, subnormals, the extremes of float64, and 17-digit mantissas
+_ROUND_TRIP = np.array([
+    [-0.0, 5e-324, np.finfo(np.float64).max],
+    [np.finfo(np.float64).tiny, -1.0 / 3.0, 0.1 + 0.2],
+])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r\n\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (" 1 , 2 \n3,\t4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1\n2\n3", [[1.0], [2.0], [3.0]]),
+        ("1.5,-2e3,nan,inf\n", [[1.5, -2000.0, np.nan, np.inf]]),
+        (_ROUND_TRIP, _ROUND_TRIP),
+        ("1,2\n# note\n3,4\n", r"f\.csv:2: non-numeric value '# note'"),
+        ("1,2\n3,4,5\n", r"f\.csv:2: expected 2 columns, got 3"),
+        ("1,2\n\n3,oops\n", r"f\.csv:3: non-numeric value 'oops'"),
+        ("1,2,\n", r"f\.csv:1: non-numeric value ''"),
+        ("", r"f\.csv: file contains no data rows"),
+        ("\n \n\t\n", r"f\.csv: file contains no data rows"),
+        # accepted by the line-by-line parser before np.loadtxt, now rejected
+        ("1,2\n \n3,4\n", r"f\.csv:2: line holds only whitespace"),
+        ("1_0,2\n", r"f\.csv: could not convert string '1_0'"),
+    ],
+    ids=[
+        "blank-lines", "crlf", "spaces", "one-column", "one-row", "round-trip",
+        "hash-line", "ragged", "non-numeric", "trailing-comma", "empty", "blank-only",
+        "whitespace-line", "underscore-digits",
+    ],
+)
+def test_reader_contract(tmp_path, text, expected):
+    """`text` is a CSV file's contents, or a view to save and load back."""
+    path = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(text, np.ndarray):
+            mat = load_multiview(save_multiview(MultiViewDataset([text]), tmp_path)).views[0]
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=expected):
+                    _read_numeric_csv(path)
+                return
+            mat = _read_numeric_csv(path)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert mat.dtype == np.float64
+    assert mat.shape == expected.shape
+    assert mat.tobytes() == expected.tobytes()

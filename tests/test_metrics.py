@@ -1,11 +1,24 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from cemvc.metrics import clustering_accuracy, confusion_matrix, evaluate
+from cemvc.metrics import (
+    _matched_accuracy,
+    _max_matched_total,
+    clustering_accuracy,
+    confusion_matrix,
+    evaluate,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def exhaustive_accuracy(pred, truth):
@@ -65,6 +78,49 @@ def test_accuracy_matches_exhaustive_oracle_randomized():
         assert clustering_accuracy(pred, truth) == pytest.approx(
             exhaustive_accuracy(pred, truth)
         )
+
+
+def random_count_table(rng):
+    """Integer table of 1-12 x 1-12 cells with ties, zero rows and zero columns."""
+    rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+    table = rng.integers(0, int(rng.integers(1, 6)), size=(rows, cols))
+    if rng.random() < 0.3:
+        table[rng.integers(rows)] = 0
+    if rng.random() < 0.3:
+        table[:, rng.integers(cols)] = 0
+    if rng.random() < 0.1:
+        table[:] = int(rng.integers(0, 4))  # every matching ties
+    return table
+
+
+def test_matched_total_equals_scipy_assignment_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        table = random_count_table(rng)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        best = int(table[rows, cols].sum())
+        assert _max_matched_total(table) == best
+        if table.sum():
+            assert _matched_accuracy(table) == float(best) / table.sum()
+
+
+def test_import_and_evaluate_leave_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import cemvc\n"
+        "report = cemvc.evaluate([0, 0, 1, 2], [1, 1, 0, 0])\n"
+        "assert report.acc == 0.75, report.acc\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @given(
