@@ -1,9 +1,12 @@
-"""Seeded benchmark presets comparing the decoupled run to the baseline.
+"""Seeded benchmark grid: every weighting mode of the decoupled run, and
+the shared-parameter baseline, on clean and noisy data.
 
 A preset fixes the synthetic data family; every seed regenerates the data,
 so the aggregates capture data and training variability together. The
 noisy variant of a dataset shares the informative views with its clean
 counterpart byte for byte, which makes clean/noisy deltas paired per seed.
+Every method runs on the same seeds, so the rows are paired across methods
+too; the noisy rows are the weighting-mode ablation.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import numpy as np
 
 from .data import MultiViewDataset, inject_noise_view, synth_multiview
 from .pipeline import ClusteringResult, PipelineConfig, run_cemvc, run_shared_baseline
+from .weighting import WEIGHT_MODES
+
+METHODS = (*WEIGHT_MODES, "shared")
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,15 @@ def preset_dataset(preset: BenchPreset, seed: int, noisy: bool) -> MultiViewData
 def run_variant(
     preset: BenchPreset, method: str, noisy: bool, seed: int
 ) -> ClusteringResult:
+    """One seeded fit: `method` is a weighting mode of the decoupled run, or
+    "shared" for the baseline."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     data = preset_dataset(preset, seed, noisy)
     cfg = replace(preset.pipeline, seed=seed)
-    if method == "cemvc":
-        return run_cemvc(data, cfg)
     if method == "shared":
         return run_shared_baseline(data, cfg)
-    raise ValueError(f"unknown method {method!r}, expected 'cemvc' or 'shared'")
+    return run_cemvc(data, replace(cfg, weighting_mode=method))
 
 
 def summarize(
@@ -67,25 +75,23 @@ def summarize(
 ) -> list[dict[str, float | str]]:
     """Mean/std ACC and NMI per method and variant, plus noisy-clean deltas.
 
-    Delta columns are noisy mean minus clean mean, so a negative delta is a
-    degradation under the injected noise view.
+    Rows follow METHODS, clean before noisy. Delta columns are noisy mean
+    minus clean mean, so a negative delta is a degradation under the
+    injected noise view.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    scores: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for method in ("cemvc", "shared"):
-        for variant in ("clean", "noisy"):
-            accs, nmis = [], []
-            for s in range(seed0, seed0 + n_seeds):
-                result = run_variant(preset, method, variant == "noisy", s)
-                accs.append(result.metrics.acc)
-                nmis.append(result.metrics.nmi)
-            scores[(method, variant)] = {"acc": accs, "nmi": nmis}
     rows = []
-    for method in ("cemvc", "shared"):
-        clean = scores[(method, "clean")]
+    for method in METHODS:
+        scores = {}
         for variant in ("clean", "noisy"):
-            cell = scores[(method, variant)]
+            metrics = [
+                run_variant(preset, method, variant == "noisy", s).metrics
+                for s in range(seed0, seed0 + n_seeds)
+            ]
+            scores[variant] = {"acc": [m.acc for m in metrics], "nmi": [m.nmi for m in metrics]}
+        clean = scores["clean"]
+        for variant, cell in scores.items():
             row: dict[str, float | str] = {
                 "method": method,
                 "variant": variant,

@@ -3,7 +3,8 @@
 Subcommands:
     synth  write a synthetic multi-view dataset (view CSVs + manifest)
     run    execute cemvc / shared / ablation on a dataset manifest
-    bench  seeded method-vs-baseline summary on a preset, as one CSV
+    bench  seeded grid on a preset, as one CSV: every weighting mode of
+           cemvc and the shared baseline, each on clean and noisy data
 
 Every run writes into a fresh timestamped directory under --out and never
 overwrites earlier output. Report contents carry no timestamps, so reruns
@@ -257,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.set_defaults(func=_cmd_run)
 
-    p_bench = sub.add_parser("bench", help="method-vs-baseline benchmark table")
+    p_bench = sub.add_parser(
+        "bench", help="every weighting mode and the shared baseline, clean and noisy"
+    )
     p_bench.add_argument("--out", required=True, help="output directory root")
     p_bench.add_argument("--seeds", type=int, default=20, help="number of seeds")
     p_bench.add_argument("--preset", choices=sorted(PRESETS), default="noisy3view")

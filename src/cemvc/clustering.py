@@ -156,9 +156,8 @@ def unified_soft_labels(
     fused, k: int, seed=0, init: np.ndarray | None = None, n_init: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster the fused matrix and soft-assign against the centroids."""
-    matrix = getattr(fused, "matrix", fused)
-    centroids, _ = kmeans(matrix, k, seed=seed, init=init, n_init=n_init)
-    return soft_assign(matrix, centroids), centroids
+    centroids, _ = kmeans(fused, k, seed=seed, init=init, n_init=n_init)
+    return soft_assign(fused, centroids), centroids
 
 
 def hard_labels(soft: np.ndarray) -> np.ndarray:

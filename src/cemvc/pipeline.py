@@ -21,13 +21,7 @@ from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
 from .model import TrainConfig, combined_loss, encode, finetune_view, pretrain
-from .weighting import (
-    WEIGHT_MODES,
-    ViewWeights,
-    init_weights,
-    scale_representations,
-    update_weights,
-)
+from .weighting import WEIGHT_MODES, scale_representations, update_weights
 
 
 @dataclass
@@ -81,17 +75,6 @@ class ClusteringResult:
     mode: str
 
 
-def _fusion_weights(w: ViewWeights) -> ViewWeights:
-    """Rescale weights to mean 1 before fusing.
-
-    The update rule defines relative view importances; the absolute scale
-    would otherwise leak into the Student-t soft labels (sharper fused
-    spaces self-train harder), coupling the weighting mode to an unrelated
-    temperature effect.
-    """
-    return ViewWeights(w.weights / w.weights.mean(), w.iteration)
-
-
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=0)
     sigma = np.maximum(x.std(axis=0), 1e-8)
@@ -125,7 +108,7 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
         pretrain(x, cfg.hidden_dims, cfg.latent_dim, train_cfg, view_index=v)
         for v, x in enumerate(inputs)
     ]
-    weights = init_weights([cfg.latent_dim] * len(inputs))
+    weights = np.ones(len(inputs))
 
     traces: list[RoundTrace] = []
     prev_labels: np.ndarray | None = None
@@ -136,17 +119,22 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
     t = 0
     while True:
         reps = [encode(m, x) for m, x in zip(models, inputs)]
-        fusion = _fusion_weights(weights)
+        # Fuse under weights rescaled to mean 1. The update rule defines
+        # relative view importances; the absolute scale would otherwise leak
+        # into the Student-t soft labels (sharper fused spaces self-train
+        # harder), coupling the weighting mode to an unrelated temperature
+        # effect.
+        fusion = weights / weights.mean()
         fused = scale_representations(fusion, reps)
         if unified_centroids is not None:
             # stored centroids live in the previous round's block scaling;
             # map them into the current one so warm-starting keeps label
             # identity instead of planting mis-scaled centroids
-            ratios = np.repeat(fusion.weights / prev_fusion, cfg.latent_dim)
+            ratios = np.repeat(fusion / prev_fusion, cfg.latent_dim)
             init = unified_centroids * ratios
         else:
             init = None
-        prev_fusion = fusion.weights
+        prev_fusion = fusion
         unified_soft, unified_centroids_new = unified_soft_labels(
             fused,
             k,
@@ -186,7 +174,7 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
                     n_init=cfg.kmeans_restarts,
                 )
                 nmis[v] = nmi(view_labels, labels)
-            weights = update_weights(weights, nmis, cond, cfg.weighting_mode)
+            weights = update_weights(nmis, cond, cfg.weighting_mode)
             centroids = view_centroids
         target = target_distribution(unified_soft)
 
@@ -199,7 +187,7 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
         traces.append(
             RoundTrace(
                 t,
-                np.resize(weights.weights, n_views),
+                np.resize(weights, n_views),
                 cond,
                 nmis,
                 np.resize(losses, n_views),

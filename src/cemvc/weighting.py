@@ -1,4 +1,4 @@
-"""Per-view weight maintenance: initialization, block scaling, update rule.
+"""Per-view weights: block scaling and the update rule.
 
 Each view owns one positive scalar applied to its latent block during
 fusion. The update rewards agreement with the unified labels (through an
@@ -8,7 +8,6 @@ exponential of normalized mutual information) and penalizes redundancy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,44 +25,15 @@ NORM_FLOOR = 0.1
 WEIGHT_FLOOR = 1e-3
 
 
-@dataclass(frozen=True)
-class ViewWeights:
-    weights: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("weights must be a nonempty 1-D vector")
-        if not np.isfinite(arr).all() or (arr <= 0).any():
-            raise ValueError("weights must be finite and strictly positive")
-        if self.iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        object.__setattr__(self, "weights", arr)
-
-    @property
-    def n_views(self) -> int:
-        return self.weights.size
-
-
-def init_weights(view_dims: Sequence[int]) -> ViewWeights:
-    """Unit weight per view: every view starts equally informative."""
-    if len(view_dims) == 0:
-        raise ValueError("need at least one view dimension")
-    if any(d < 1 for d in view_dims):
-        raise ValueError("view dimensions must be >= 1")
-    return ViewWeights(np.ones(len(view_dims)), iteration=0)
-
-
-def scale_representations(w: ViewWeights, reps: Sequence[np.ndarray]) -> np.ndarray:
+def scale_representations(weights: np.ndarray, reps: Sequence[np.ndarray]) -> np.ndarray:
     """Multiply each view block by its weight and concatenate columns."""
-    if len(reps) != w.n_views:
-        raise ValueError(f"{len(reps)} views but {w.n_views} weights")
+    if len(reps) != len(weights):
+        raise ValueError(f"{len(reps)} views but {len(weights)} weights")
     mats = [as_matrix(r, f"view {v}") for v, r in enumerate(reps)]
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"views have differing row counts: {sorted(rows)}")
-    return np.hstack([m * w.weights[v] for v, m in enumerate(mats)])
+    return np.hstack([m * weights[v] for v, m in enumerate(mats)])
 
 
 def normalize_entropies(values: np.ndarray) -> np.ndarray:
@@ -76,31 +46,36 @@ def normalize_entropies(values: np.ndarray) -> np.ndarray:
 
 
 def update_weights(
-    previous: ViewWeights,
     consistency: np.ndarray,
     cond_entropies: np.ndarray,
     mode: str = "enmi_ce",
-) -> ViewWeights:
+) -> np.ndarray:
     """Recompute every view weight from the current round's scores.
 
     `consistency` holds each view's NMI with the unified labels. Modes:
     "nmi" uses it directly, "enmi" applies exp(score)-1, "enmi_ce"
     additionally divides by the normalized conditional entropy so redundant
-    or noisy views shrink further.
+    or noisy views shrink further. Returns one finite, strictly positive
+    weight per view.
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weighting mode {mode!r}, expected one of {WEIGHT_MODES}")
-    n_views = previous.n_views
     consistency = np.asarray(consistency, dtype=np.float64)
-    if consistency.shape != (n_views,):
-        raise ValueError(f"consistency has shape {consistency.shape}, expected ({n_views},)")
     cond = np.asarray(cond_entropies, dtype=np.float64)
-    if cond.shape != (n_views,):
-        raise ValueError(f"conditional entropies have shape {cond.shape}, expected ({n_views},)")
+    if consistency.ndim != 1 or consistency.size == 0:
+        raise ValueError(f"consistency has shape {consistency.shape}, expected one score per view")
+    if cond.shape != consistency.shape:
+        raise ValueError(
+            f"consistency has shape {consistency.shape} but conditional entropies "
+            f"have shape {cond.shape}"
+        )
     if mode == "nmi":
         base = consistency
     else:
         base = np.expm1(consistency)
         if mode == "enmi_ce":
             base = base / normalize_entropies(cond)
-    return ViewWeights(base + WEIGHT_FLOOR, iteration=previous.iteration + 1)
+    weights = base + WEIGHT_FLOOR
+    if not np.isfinite(weights).all() or (weights <= 0).any():
+        raise ValueError(f"weights must be finite and strictly positive, got {weights}")
+    return weights

@@ -10,12 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cemvc.bench import PRESETS, preset_dataset
-from cemvc.clustering import hard_labels, kmeans, soft_assign, unified_soft_labels
+from cemvc.bench import PRESETS, preset_dataset, run_variant
+from cemvc.clustering import hard_labels, kmeans, unified_soft_labels
 from cemvc.infometrics import nmi, total_conditional_entropy
 from cemvc.model import encode, pretrain
-from cemvc.pipeline import run_cemvc, run_shared_baseline
-from cemvc.weighting import init_weights, scale_representations, update_weights
+from cemvc.weighting import scale_representations, update_weights
 
 PRESET = PRESETS["noisy3view"]
 N_SEEDS = 20
@@ -29,34 +28,18 @@ def bench_runs():
     enmi_noisy, enmi_ce_noisy (cemvc_noisy aliases enmi_ce_noisy since
     enmi_ce is the default weighting mode), plus clean_runtime in seconds.
     """
+    def cell(method, noisy):
+        return [run_variant(PRESET, method, noisy, s) for s in range(N_SEEDS)]
+
     runs = {}
     start = time.time()
-    runs["cemvc_clean"] = [
-        run_cemvc(preset_dataset(PRESET, s, noisy=False), replace(PRESET.pipeline, seed=s))
-        for s in range(N_SEEDS)
-    ]
+    runs["cemvc_clean"] = cell("enmi_ce", False)
     runs["clean_runtime"] = time.time() - start
     for mode in ("nmi", "enmi", "enmi_ce"):
-        runs[f"{mode}_noisy"] = [
-            run_cemvc(
-                preset_dataset(PRESET, s, noisy=True),
-                replace(PRESET.pipeline, seed=s, weighting_mode=mode),
-            )
-            for s in range(N_SEEDS)
-        ]
+        runs[f"{mode}_noisy"] = cell(mode, True)
     runs["cemvc_noisy"] = runs["enmi_ce_noisy"]
-    runs["shared_clean"] = [
-        run_shared_baseline(
-            preset_dataset(PRESET, s, noisy=False), replace(PRESET.pipeline, seed=s)
-        )
-        for s in range(N_SEEDS)
-    ]
-    runs["shared_noisy"] = [
-        run_shared_baseline(
-            preset_dataset(PRESET, s, noisy=True), replace(PRESET.pipeline, seed=s)
-        )
-        for s in range(N_SEEDS)
-    ]
+    runs["shared_clean"] = cell("shared", False)
+    runs["shared_noisy"] = cell("shared", True)
     return runs
 
 
@@ -82,20 +65,17 @@ def first_round_stats():
             for v in range(data.n_views)
         ]
         reps = [encode(m, x) for m, x in zip(models, views)]
-        weights = init_weights([cfg.latent_dim] * data.n_views)
-        fused = scale_representations(weights, reps)
+        fused = scale_representations(np.ones(data.n_views), reps)
         unified_soft, _ = unified_soft_labels(
             fused, k, seed=(s, 3, 0), n_init=cfg.kmeans_restarts
         )
+        labels = hard_labels(unified_soft)
         cond = total_conditional_entropy(reps)
-        view_soft = []
+        nmis = np.empty(data.n_views)
         for v in range(data.n_views):
-            centroids_v, _ = kmeans(
+            _, view_labels = kmeans(
                 reps[v], k, seed=(s, 4, 0, v), n_init=cfg.kmeans_restarts
             )
-            view_soft.append(soft_assign(reps[v], centroids_v))
-        labels = hard_labels(unified_soft)
-        nmis = np.array([nmi(hard_labels(sl), labels) for sl in view_soft])
-        updated = update_weights(weights, nmis, cond)
-        stats.append({"cond_entropies": cond, "weights": updated.weights})
+            nmis[v] = nmi(view_labels, labels)
+        stats.append({"cond_entropies": cond, "weights": update_weights(nmis, cond)})
     return time.time() - start, stats

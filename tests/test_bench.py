@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from cemvc.bench import (
     summarize,
 )
 from cemvc.model import TrainConfig
-from cemvc.pipeline import PipelineConfig
+from cemvc.pipeline import PipelineConfig, run_ablation
+from cemvc.weighting import WEIGHT_MODES
 
 
 def tiny_preset():
@@ -48,18 +51,26 @@ def test_preset_dataset_noisy_shares_informative_views():
 
 
 def test_run_variant_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
+    with pytest.raises(ValueError, match="method 'mystery', expected one of"):
         run_variant(tiny_preset(), "mystery", False, 0)
 
 
-def test_summarize_four_rows_and_delta_convention():
+def test_run_variant_modes_equal_ablation_runs():
+    preset = tiny_preset()
+    data = preset_dataset(preset, 1, noisy=True)
+    ablation = run_ablation(data, replace(preset.pipeline, seed=1))
+    for mode in WEIGHT_MODES:
+        result = run_variant(preset, mode, True, 1)
+        assert result.mode == mode
+        assert np.array_equal(result.labels, ablation[mode].labels)
+
+
+def test_summarize_eight_rows_and_delta_convention():
     rows = summarize(tiny_preset(), n_seeds=2)
-    assert len(rows) == 4
     assert [(r["method"], r["variant"]) for r in rows] == [
-        ("cemvc", "clean"),
-        ("cemvc", "noisy"),
-        ("shared", "clean"),
-        ("shared", "noisy"),
+        (method, variant)
+        for method in ("nmi", "enmi", "enmi_ce", "shared")
+        for variant in ("clean", "noisy")
     ]
     for row in rows:
         if row["variant"] == "clean":
@@ -77,5 +88,5 @@ def test_rows_to_csv_header_and_shape():
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(BENCH_COLUMNS)
-    assert len(lines) == 5
+    assert len(lines) == 9
     assert all(len(line.split(",")) == len(BENCH_COLUMNS) for line in lines)

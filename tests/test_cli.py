@@ -203,7 +203,7 @@ def test_bench_rejects_zero_seeds(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
-def test_bench_writes_four_row_summary(tmp_path, monkeypatch):
+def test_bench_writes_eight_row_summary(tmp_path, monkeypatch):
     import cemvc.cli as cli_module
     from cemvc.bench import BenchPreset
     from cemvc.model import TrainConfig
@@ -228,10 +228,9 @@ def test_bench_writes_four_row_summary(tmp_path, monkeypatch):
     assert run_cli("bench", "--out", out, "--seeds", 2, "--preset", "noisy3view") == 0
     table = (only_run_dir(out) / "summary.csv").read_text().strip().split("\n")
     assert table[0].startswith("method,variant,acc_mean")
-    assert len(table) == 5
+    assert len(table) == 9
     assert [line.split(",")[:2] for line in table[1:]] == [
-        ["cemvc", "clean"],
-        ["cemvc", "noisy"],
-        ["shared", "clean"],
-        ["shared", "noisy"],
+        [method, variant]
+        for method in ("nmi", "enmi", "enmi_ce", "shared")
+        for variant in ("clean", "noisy")
     ]

@@ -226,6 +226,23 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
 
 
+def test_non_finite_losses_name_the_epoch_step_and_view():
+    # 1e200 cells overflow the squared reconstruction error on the first pass
+    x = np.full((10, 4), 1e200)
+    with np.errstate(all="ignore"):
+        with pytest.raises(
+            FloatingPointError, match=r"non-finite pretraining loss at epoch 0 for view 2$"
+        ):
+            pretrain(x, (5,), 2, TrainConfig(pretrain_epochs=3), view_index=2)
+        model = build_view_model(4, (5,), 2, 1, np.random.default_rng(14))
+        with pytest.raises(
+            FloatingPointError, match=r"non-finite finetuning loss at step 0 for view 1$"
+        ):
+            finetune_view(
+                model, x, np.full((10, 3), 1 / 3), np.zeros((3, 2)), TrainConfig(clustering_weight=0.5)
+            )
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="epoch"):
         TrainConfig(pretrain_epochs=0)
