@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,24 +43,8 @@ from .pipeline import (
 
 _EMBED_FMT = "%.17g"
 
-_PIPELINE_KEYS = (
-    "n_clusters",
-    "latent_dim",
-    "hidden_dims",
-    "max_outer_iters",
-    "tolerance",
-    "weighting_mode",
-    "standardize",
-    "kmeans_restarts",
-    "seed",
-)
-_TRAIN_KEYS = (
-    "pretrain_epochs",
-    "finetune_steps_per_round",
-    "batch_size",
-    "learning_rate",
-    "clustering_weight",
-)
+_PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "train")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -111,13 +96,7 @@ def _config_as_dict(cfg: PipelineConfig, mode: str) -> dict:
         "standardize": cfg.standardize,
         "kmeans_restarts": cfg.kmeans_restarts,
         "seed": cfg.seed,
-        "train": {
-            "pretrain_epochs": cfg.train.pretrain_epochs,
-            "finetune_steps_per_round": cfg.train.finetune_steps_per_round,
-            "batch_size": cfg.train.batch_size,
-            "learning_rate": cfg.train.learning_rate,
-            "clustering_weight": cfg.train.clustering_weight,
-        },
+        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
     }
 
 

@@ -1,8 +1,10 @@
 """Per-view autoencoders with strictly disjoint parameters.
 
-A ViewModel owns its encoder and decoder outright; nothing is shared
-between views, so finetuning one view can never move another view's
-parameters. Training minimizes per-sample Frobenius losses:
+A ViewModel owns its encoder and decoder outright, each with its own
+parameter vector; nothing is shared between views, so finetuning one view
+can never move another view's parameters. pretrain and finetune_view run
+the same step loop, with Adam updating each net's vector in one pass.
+Training minimizes per-sample Frobenius losses:
 
     recon      = ||X - decode(encode(X))||_F^2 / N
     clustering = ||T - soft_assign(encode(X), centroids)||_F^2 / N
@@ -29,8 +31,6 @@ from .numcore import (
     forward,
     init_adam,
     init_dense_net,
-    net_param_names,
-    net_params,
 )
 
 
@@ -87,14 +87,8 @@ def build_view_model(
 
 
 def model_params(model: ViewModel) -> list[np.ndarray]:
-    return net_params(model.encoder) + net_params(model.decoder)
-
-
-def model_param_names(model: ViewModel) -> list[str]:
-    tag = f"view{model.view_index}"
-    return net_param_names(model.encoder, f"{tag}.encoder") + net_param_names(
-        model.decoder, f"{tag}.decoder"
-    )
+    """[encoder.params, decoder.params], by reference."""
+    return [model.encoder.params, model.decoder.params]
 
 
 def encode(model: ViewModel, x) -> np.ndarray:
@@ -132,7 +126,6 @@ class _StepBuffers:
         self.enc = Workspace(model.encoder, rows)
         self.dec = Workspace(model.decoder, rows, input_grad=True)
         self.diff = np.empty((rows, model.decoder.output_dim))
-        self.grads = self.enc.grads + self.dec.grads
 
 
 def _loss_and_grads(
@@ -143,7 +136,7 @@ def _loss_and_grads(
     clustering_weight: float,
     bufs: _StepBuffers | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Combined loss and its gradient for every model parameter.
+    """Combined loss and its gradient, one vector per net as in model_params.
 
     With clustering_weight == 0 the target is never touched, so callers may
     pass None (or garbage) for it. A training loop passes its `bufs`, and
@@ -159,7 +152,7 @@ def _loss_and_grads(
     loss = float(np.einsum("ij,ij->", diff, diff)) / n
     diff *= 2.0
     diff /= n  # now the reconstruction loss gradient 2 * diff / n
-    _, d_latent = backward(model.decoder, latent, diff, bufs.dec)
+    dec_grad, d_latent = backward(model.decoder, latent, diff, bufs.dec)
     if clustering_weight > 0:
         q = soft_assign(latent, centroids)
         q_diff = q - target
@@ -167,17 +160,47 @@ def _loss_and_grads(
         d_cluster = soft_assign_input_grad(latent, centroids, 2.0 * q_diff / n)
         d_cluster *= clustering_weight
         d_latent += d_cluster
-    backward(model.encoder, x, d_latent, bufs.enc)
-    return loss, bufs.grads
+    enc_grad, _ = backward(model.encoder, x, d_latent, bufs.enc)
+    return loss, [enc_grad, dec_grad]
 
 
-def _batches(n: int, batch_size: int | None, rng: np.random.Generator):
+def _batch_stream(n: int, batch_size: int | None, rng: np.random.Generator):
+    """Row selections of successive batches, reshuffled every epoch, forever."""
     if batch_size is None or batch_size >= n:
-        yield slice(None)
-        return
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+        while True:
+            yield slice(None)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+
+def _train(
+    model: ViewModel,
+    x: np.ndarray,
+    target: np.ndarray | None,
+    centroids: np.ndarray | None,
+    lam: float,
+    cfg: TrainConfig,
+    steps: int,
+    batch_rng: np.random.Generator,
+    where,
+) -> None:
+    """Run `steps` Adam steps on the combined loss, updating the model in place.
+
+    `where(step)` names the position of a non-finite loss in the error.
+    """
+    nets = (model.encoder, model.decoder)
+    states = [init_adam(net.params, cfg.learning_rate) for net in nets]
+    names = (f"view{model.view_index}.encoder", f"view{model.view_index}.decoder")
+    bufs = _StepBuffers(model, min(x.shape[0], cfg.batch_size or x.shape[0]))
+    for step, idx in zip(range(steps), _batch_stream(x.shape[0], cfg.batch_size, batch_rng)):
+        tb = target[idx] if lam > 0 else None
+        loss, grads = _loss_and_grads(model, x[idx], tb, centroids, lam, bufs)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite {where(step)} for view {model.view_index}")
+        for net, grad, state, name in zip(nets, grads, states, names):
+            adam_step(net, grad, state, name)
 
 
 def pretrain(
@@ -192,18 +215,11 @@ def pretrain(
     init_rng = np.random.default_rng((cfg.seed, 101, view_index))
     batch_rng = np.random.default_rng((cfg.seed, 102, view_index))
     model = build_view_model(x.shape[1], hidden_dims, latent_dim, view_index, init_rng)
-    params = model_params(model)
-    names = model_param_names(model)
-    state = init_adam(params, cfg.learning_rate)
-    bufs = _StepBuffers(model, min(x.shape[0], cfg.batch_size or x.shape[0]))
-    for epoch in range(cfg.pretrain_epochs):
-        for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):
-            loss, grads = _loss_and_grads(model, x[idx], None, None, 0.0, bufs)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite pretraining loss at epoch {epoch} for view {view_index}"
-                )
-            adam_step(params, grads, state, names)
+    per_epoch = -(-x.shape[0] // (cfg.batch_size or x.shape[0]))  # batches, rounded up
+    _train(
+        model, x, None, None, 0.0, cfg, cfg.pretrain_epochs * per_epoch, batch_rng,
+        lambda step: f"pretraining loss at epoch {step // per_epoch}",
+    )
     return model
 
 
@@ -238,26 +254,9 @@ def finetune_view(
                 f"centroids have shape {centroids.shape}, expected "
                 f"({target.shape[1]}, {model.latent_dim})"
             )
-    params = model_params(model)
-    names = model_param_names(model)
-    state = init_adam(params, cfg.learning_rate)
     batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
-    bufs = _StepBuffers(model, min(x.shape[0], cfg.batch_size or x.shape[0]))
-    steps = 0
-    while steps < cfg.finetune_steps_per_round:
-        for idx in _batches(x.shape[0], cfg.batch_size, batch_rng):
-            xb = x[idx]
-            tb = target[idx] if lam > 0 else None
-            loss, grads = _loss_and_grads(
-                model, xb, tb, centroids if lam > 0 else None, lam, bufs
-            )
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite finetuning loss at step {steps} for view {model.view_index}"
-                )
-            adam_step(params, grads, state, names)
-            steps += 1
-            if steps >= cfg.finetune_steps_per_round:
-                break
+    _train(
+        model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
+        lambda step: f"finetuning loss at step {step}",
+    )
     return model
-

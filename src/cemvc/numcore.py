@@ -4,16 +4,21 @@ Everything runs on float64 numpy arrays. Matrices are row-major
 (samples, features). The engine supports relu hidden layers and linear
 output layers, which is all the autoencoders in this package need.
 
+A DenseNet keeps its parameters in one vector, `net.params`, laid out as
+[W0, b0, W1, b1, ...]; each layer's weight and bias are views into it.
+
 forward without a Workspace validates its input and returns fresh arrays.
 A training loop instead owns a Workspace per net: forward writes the
 layer activations into it, and backward reads them and writes its deltas
-and gradients there, so a step runs each matmul once and allocates no
-batch-sized arrays. The caller validates the input once, up front.
-AdamState is mutated only by adam_step, so a single training loop owns it.
+and its gradient vector there, so a step runs each matmul once and
+allocates no batch-sized arrays. The caller validates the input once, up
+front. adam_step updates a whole net's vector in one pass; AdamState is
+mutated only by adam_step, so a single training loop owns it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +36,6 @@ def as_matrix(values, name: str = "matrix") -> Array:
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
 
 
 @dataclass
@@ -61,9 +62,26 @@ class Layer:
             raise ValueError("layer parameters contain non-finite entries")
 
 
+def _layer_views(vector: Array, layers: list[Layer]) -> list[Array]:
+    """[W0, b0, W1, b1, ...] as views into `vector`, in the layout of net.params."""
+    views, start = [], 0
+    for layer in layers:
+        for shape in (layer.weight.shape, layer.bias.shape):
+            size = math.prod(shape)
+            views.append(vector[start : start + size].reshape(shape))
+            start += size
+    return views
+
+
 @dataclass
 class DenseNet:
+    """Layers whose arrays are copied into `params` and then viewed from it.
+
+    A Layer belongs to the one net built from it.
+    """
+
     layers: list[Layer]
+    params: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -74,6 +92,20 @@ class DenseNet:
                     f"layer dimensions do not chain: {prev.weight.shape[1]} -> "
                     f"{nxt.weight.shape[0]}"
                 )
+        self.params = np.concatenate(
+            [a.ravel() for layer in self.layers for a in (layer.weight, layer.bias)]
+        )
+        self._link()
+
+    def _link(self) -> None:
+        views = _layer_views(self.params, self.layers)
+        for layer, weight, bias in zip(self.layers, views[::2], views[1::2]):
+            layer.weight, layer.bias = weight, bias
+
+    def __setstate__(self, state: dict) -> None:
+        # deepcopy and pickle copy each view on its own; re-link them
+        self.__dict__.update(state)
+        self._link()
 
     @property
     def input_dim(self) -> int:
@@ -110,9 +142,10 @@ class Workspace:
 
     forward() writes each layer's activations here and backward() reads
     them, so a step runs each matmul once. backward() writes its deltas
-    and parameter gradients here too; a batch of m < rows rows uses the
-    first m rows of every buffer. With `input_grad` the workspace also
-    holds dL/dx, for chaining into an upstream network.
+    and the parameter gradient here too: `grad` has the layout of
+    net.params and `grads` holds its per-layer views. A batch of m < rows
+    rows uses the first m rows of every buffer. With `input_grad` the
+    workspace also holds dL/dx, for chaining into an upstream network.
     """
 
     def __init__(self, net: DenseNet, rows: int, input_grad: bool = False) -> None:
@@ -127,7 +160,8 @@ class Workspace:
             np.empty((rows, layer.weight.shape[0])) if i or input_grad else None
             for i, layer in enumerate(net.layers)
         ]
-        self.grads = [np.empty_like(p) for p in net_params(net)]
+        self.grad = np.empty_like(net.params)
+        self.grads = _layer_views(self.grad, net.layers)
 
 
 def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
@@ -156,13 +190,13 @@ def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
 
 def backward(
     net: DenseNet, x: Array, loss_grad: Array, work: Workspace
-) -> tuple[list[Array], Array | None]:
+) -> tuple[Array, Array | None]:
     """Backpropagate `loss_grad` (dL/d output) through the network.
 
     `work` must hold the activations of `forward(net, x, work)`. Returns
-    (param_grads, input_grad): param_grads is work's flat list
-    [dW0, db0, dW1, db1, ...] matching net_params(net), and input_grad is
-    dL/dx (a view into work) if work was built with input_grad, else None.
+    (grad, input_grad): grad is work's gradient vector, laid out like
+    net.params, and input_grad is dL/dx (a view into work) if work was
+    built with input_grad, else None.
     The relu mask uses the post-activations: relu(z) > 0 exactly when z > 0.
     """
     m = x.shape[0]
@@ -183,90 +217,63 @@ def backward(
         np.matmul(inputs.T, delta, out=work.grads[2 * i])
         np.sum(delta, axis=0, out=work.grads[2 * i + 1])
         if work.deltas[i] is None:
-            return work.grads, None
+            return work.grad, None
         delta = np.matmul(delta, layer.weight.T, out=work.deltas[i][:m])
-    return work.grads, delta
-
-
-def net_params(net: DenseNet) -> list[Array]:
-    """Flat list of parameter arrays, [W0, b0, W1, b1, ...], by reference."""
-    out: list[Array] = []
-    for layer in net.layers:
-        out.append(layer.weight)
-        out.append(layer.bias)
-    return out
-
-
-def net_param_names(net: DenseNet, prefix: str = "net") -> list[str]:
-    names = []
-    for i in range(len(net.layers)):
-        names.append(f"{prefix}.layer{i}.weight")
-        names.append(f"{prefix}.layer{i}.bias")
-    return names
+    return work.grad, delta
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for a parameter list.
+    """Bias-corrected adaptive-moment optimizer state for one parameter vector.
 
-    `scratch` holds two work arrays per parameter, so a step allocates no
+    `scratch` holds two work vectors, so a step allocates no
     parameter-sized temporaries.
     """
 
     learning_rate: float
+    first_moment: Array
+    second_moment: Array
+    scratch: tuple[Array, Array]
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    first_moment: list[Array] = field(default_factory=list)
-    second_moment: list[Array] = field(default_factory=list)
-    scratch: list[tuple[Array, Array]] = field(default_factory=list)
 
 
-def init_adam(params: list[Array], learning_rate: float, **kwargs) -> AdamState:
-    state = AdamState(learning_rate=learning_rate, **kwargs)
-    state.first_moment = [np.zeros_like(p) for p in params]
-    state.second_moment = [np.zeros_like(p) for p in params]
-    state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-    return state
+def init_adam(params: Array, learning_rate: float, **kwargs) -> AdamState:
+    scratch = (np.empty_like(params), np.empty_like(params))
+    return AdamState(learning_rate, np.zeros_like(params), np.zeros_like(params), scratch, **kwargs)
 
 
-def adam_step(
-    params: list[Array],
-    grads: list[Array],
-    state: AdamState,
-    names: list[str] | None = None,
-) -> None:
-    """Apply one in-place update to every parameter array.
+def adam_step(net: DenseNet, grad: Array, state: AdamState, name: str = "net") -> None:
+    """Apply one in-place update to net.params from `grad`, laid out alike.
 
     The arithmetic is p -= (lr * m_hat) / (sqrt(v_hat) + eps), operation
     for operation, so results match the out-of-place formula bit for bit.
+    A non-finite gradient raises before any update, naming the first bad
+    array as `name.layer<i>.weight` or `.bias`.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("parameter, gradient and state lists must have equal length")
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            name = names[i] if names is not None else f"parameter {i}"
-            raise FloatingPointError(f"non-finite gradient for {name}")
-        if g.shape != params[i].shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter shape {params[i].shape}"
-            )
+    p = net.params
+    if grad.shape != p.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameter shape {p.shape}")
+    if not np.isfinite(grad).all():
+        views = _layer_views(grad, net.layers)
+        j = next(j for j, g in enumerate(views) if not np.isfinite(g).all())
+        kind = "bias" if j % 2 else "weight"
+        raise FloatingPointError(f"non-finite gradient for {name}.layer{j // 2}.{kind}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    for p, g, m, v, (s1, s2) in zip(
-        params, grads, state.first_moment, state.second_moment, state.scratch
-    ):
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s1)
-        v *= b2
-        v += np.multiply(np.square(g, out=s2), 1.0 - b2, out=s2)
-        np.divide(m, c1, out=s1)  # m_hat
-        np.divide(v, c2, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += state.epsilon
-        s1 *= state.learning_rate
-        s1 /= s2
-        p -= s1
+    m, v, (s1, s2) = state.first_moment, state.second_moment, state.scratch
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=s1)
+    v *= b2
+    v += np.multiply(np.square(grad, out=s2), 1.0 - b2, out=s2)
+    np.divide(m, c1, out=s1)  # m_hat
+    np.divide(v, c2, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += state.epsilon
+    s1 *= state.learning_rate
+    s1 /= s2
+    p -= s1

@@ -198,6 +198,35 @@ def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
+    # the keys listed in the cli module docstring, each set away from its default
+    documented = {
+        "n_clusters": 3,
+        "latent_dim": 3,
+        "hidden_dims": [6],
+        "max_outer_iters": 2,
+        "tolerance": 0.0,
+        "weighting_mode": "enmi",
+        "standardize": False,
+        "kmeans_restarts": 2,
+        "seed": 5,
+        "train": {
+            "pretrain_epochs": 5,
+            "finetune_steps_per_round": 2,
+            "batch_size": 32,
+            "learning_rate": 0.002,
+            "clustering_weight": 0.2,
+        },
+    }
+    path = tmp_path / "every_key.json"
+    path.write_text(json.dumps(documented))
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", path) == 0
+    config = json.loads((only_run_dir(out) / "report.json").read_text())["config"]
+    assert config.pop("decoupled") is True
+    assert config == documented
+
+
 def test_bench_rejects_zero_seeds(tmp_path, capsys):
     assert run_cli("bench", "--out", tmp_path / "b", "--seeds", 0) == 1
     assert "seeds" in capsys.readouterr().err

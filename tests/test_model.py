@@ -339,11 +339,24 @@ def ref_batches(n, batch_size, rng):
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
+def layer_arrays(model):
+    """Every layer's weight and bias, encoder first, as views of model_params."""
+    nets = (model.encoder, model.decoder)
+    return [a for net in nets for layer in net.layers for a in (layer.weight, layer.bias)]
+
+
+def net_vectors(model, layer_grads):
+    """Per-array gradients, as in layer_arrays, packed into one vector per net."""
+    split = 2 * len(model.encoder.layers)
+    parts = (layer_grads[:split], layer_grads[split:])
+    return [np.concatenate([g.ravel() for g in part]) for part in parts]
+
+
 def ref_pretrain(x, hidden, latent_dim, cfg, view_index=0):
     init_rng = np.random.default_rng((cfg.seed, 101, view_index))
     batch_rng = np.random.default_rng((cfg.seed, 102, view_index))
     model = build_view_model(x.shape[1], hidden, latent_dim, view_index, init_rng)
-    params = model_params(model)
+    params = layer_arrays(model)
     adam = RefAdam(params, cfg.learning_rate)
     for _ in range(cfg.pretrain_epochs):
         for idx in ref_batches(x.shape[0], cfg.batch_size, batch_rng):
@@ -354,7 +367,7 @@ def ref_pretrain(x, hidden, latent_dim, cfg, view_index=0):
 
 def ref_finetune(model, x, target, centroids, cfg):
     lam = cfg.clustering_weight
-    params = model_params(model)
+    params = layer_arrays(model)
     adam = RefAdam(params, cfg.learning_rate)
     batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
     steps = 0
@@ -390,7 +403,7 @@ def test_loss_and_grads_equal_two_pass_reference(lam):
     loss, grads = _loss_and_grads(model, x, target, centroids, lam)
     ref_loss, ref_grads = ref_loss_and_grads(model, x, target, centroids, lam)
     assert loss == ref_loss
-    assert_bit_equal(grads, ref_grads)
+    assert_bit_equal(grads, net_vectors(model, ref_grads))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
@@ -405,7 +418,7 @@ def test_buffered_minibatch_steps_equal_reference_through_partial_batch(lam):
         loss, grads = _loss_and_grads(model, x[idx], target[idx], centroids, lam, bufs)
         ref_loss, ref_grads = ref_loss_and_grads(model, x[idx], target[idx], centroids, lam)
         assert loss == ref_loss
-        assert_bit_equal(grads, ref_grads)
+        assert_bit_equal(grads, net_vectors(model, ref_grads))
 
 
 def test_loss_and_grads_without_buffers_returns_owned_arrays():
@@ -445,13 +458,14 @@ def test_buffered_step_allocates_less_than_one_view_array(lam):
     target /= target.sum(axis=1, keepdims=True)
     centroids = rng.standard_normal((3, 8))
     model = build_view_model(200, (32,), 8, 0, rng)
-    params = model_params(model)
-    state = init_adam(params, 1e-3)
+    nets = (model.encoder, model.decoder)
+    states = [init_adam(net.params, 1e-3) for net in nets]
     bufs = _StepBuffers(model, x.shape[0])
 
     def step():
         _, grads = _loss_and_grads(model, x, target, centroids, lam, bufs)
-        adam_step(params, grads, state)
+        for net, grad, state in zip(nets, grads, states):
+            adam_step(net, grad, state)
 
     tracemalloc.start()
     try:

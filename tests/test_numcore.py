@@ -1,7 +1,8 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cemvc.numcore import (
     DenseNet,
@@ -12,8 +13,6 @@ from cemvc.numcore import (
     forward,
     init_adam,
     init_dense_net,
-    net_params,
-    relu,
 )
 
 
@@ -49,6 +48,11 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
             g[idx] = (up - down) / (2 * h)
         grads.append(g)
     return grads
+
+
+def one_param_net(weight, bias):
+    """A 1x1 linear net: net.params is [weight, bias]."""
+    return DenseNet([Layer(np.array([[weight]]), np.array([bias]), "linear")])
 
 
 def max_rel_error(analytic, numeric):
@@ -99,18 +103,11 @@ def test_forward_is_pure():
     assert np.array_equal(forward(net, x), forward(net, x))
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=30)
-def test_relu_is_nonnegative(seed):
-    x = np.random.default_rng(seed).standard_normal((4, 4)) * 10
-    assert (relu(x) >= 0).all()
-
-
 def test_backward_zero_loss_grad_gives_zero_grads():
     net = small_net(seed=5)
     x = np.random.default_rng(6).standard_normal((4, 3))
-    grads, dx = forward_backward(net, x, np.zeros((4, 2)))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
+    grad, dx = forward_backward(net, x, np.zeros((4, 2)))
+    assert np.array_equal(grad, np.zeros_like(net.params))
     assert np.array_equal(dx, np.zeros_like(x))
 
 
@@ -122,9 +119,9 @@ def test_backward_single_linear_layer_closed_form():
     x = np.array([[0.7, -1.2]])
     y = np.array([[0.2, 0.9]])
     resid = x @ w + b - y
-    grads, _ = forward_backward(net, x, 2.0 * resid)
-    assert grads[0] == pytest.approx(x.T @ (2.0 * resid))
-    assert grads[1] == pytest.approx((2.0 * resid).ravel())
+    grad, _ = forward_backward(net, x, 2.0 * resid)
+    assert grad[:4] == pytest.approx((x.T @ (2.0 * resid)).ravel())
+    assert grad[4:] == pytest.approx((2.0 * resid).ravel())
 
 
 def test_backward_rejects_shape_mismatch():
@@ -151,8 +148,8 @@ def test_gradients_match_finite_differences(trial):
 
     out = forward(net, x)
     analytic, _ = forward_backward(net, x, 2.0 * (out - y))
-    numeric = finite_difference_grads(loss, net_params(net))
-    assert max_rel_error(analytic, numeric) <= 1e-4
+    numeric = finite_difference_grads(loss, [net.params])
+    assert max_rel_error([analytic], numeric) <= 1e-4
 
 
 def test_backward_input_grad_matches_finite_differences():
@@ -173,39 +170,91 @@ def test_backward_input_grad_matches_finite_differences():
 
 def test_adam_zero_gradients_leave_params_unchanged():
     net = small_net(seed=20)
-    params = net_params(net)
-    before = [p.copy() for p in params]
-    state = init_adam(params, learning_rate=0.05)
-    adam_step(params, [np.zeros_like(p) for p in params], state)
-    assert all(np.array_equal(b, p) for b, p in zip(before, params))
+    before = net.params.copy()
+    state = init_adam(net.params, learning_rate=0.05)
+    adam_step(net, np.zeros_like(net.params), state)
+    assert np.array_equal(before, net.params)
     assert state.step == 1
 
 
 def test_adam_single_step_matches_hand_update():
-    p = np.array([1.0])
-    g = np.array([0.5])
-    state = init_adam([p], learning_rate=0.1)
-    adam_step([p], [g], state)
+    net = one_param_net(1.0, 1.0)
+    state = init_adam(net.params, learning_rate=0.1)
+    adam_step(net, np.array([0.5, 0.5]), state)
     # bias-corrected first step: m_hat = g, v_hat = g^2
     expected = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)
-    assert p[0] == pytest.approx(expected, rel=1e-12)
+    assert net.params == pytest.approx([expected, expected], rel=1e-12)
 
 
 def test_adam_reduces_convex_quadratic():
     # minimize (p - 3)^2 elementwise
-    p = np.array([10.0, -4.0])
-    state = init_adam([p], learning_rate=0.1)
+    net = one_param_net(10.0, -4.0)
+    p = net.params
+    state = init_adam(p, learning_rate=0.1)
     start = float(((p - 3.0) ** 2).sum())
     for _ in range(200):
-        adam_step([p], [2.0 * (p - 3.0)], state)
+        adam_step(net, 2.0 * (p - 3.0), state)
     assert float(((p - 3.0) ** 2).sum()) < start
 
 
 def test_adam_rejects_non_finite_gradient_with_name():
-    p = np.array([1.0])
-    state = init_adam([p], learning_rate=0.1)
+    net = one_param_net(1.0, 1.0)
+    state = init_adam(net.params, learning_rate=0.1)
     with pytest.raises(FloatingPointError, match="encoder.layer0.weight"):
-        adam_step([p], [np.array([np.nan])], state, names=["encoder.layer0.weight"])
+        adam_step(net, np.array([np.nan, 0.5]), state, name="encoder")
+
+
+def test_adam_names_the_layer_array_holding_the_first_bad_entry():
+    net = small_net(seed=21, dims=(3, 5, 2))
+    grad = np.zeros_like(net.params)
+    # layout [W0 (15), b0 (5), W1 (10), b1 (2)]: the last entry is in layer 1's bias
+    grad[-1] = np.nan
+    before = net.params.copy()
+    state = init_adam(net.params, learning_rate=0.1)
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient for view3\.decoder\.layer1\.bias$"):
+        adam_step(net, grad, state, name="view3.decoder")
+    assert np.array_equal(net.params, before)
+    assert state.step == 0
+
+
+def test_layers_are_views_into_the_parameter_vector():
+    net = small_net(seed=22, dims=(4, 6, 5, 3))
+    assert net.params.ndim == 1 and net.params.dtype == np.float64
+    assert net.params.size == sum(l.weight.size + l.bias.size for l in net.layers)
+    for layer in net.layers:
+        for a in (layer.weight, layer.bias):
+            assert np.shares_memory(a, net.params)
+            assert a.flags.c_contiguous
+    net.params[:] = np.arange(net.params.size)
+    assert net.layers[0].weight[0, 1] == 1.0
+    assert net.layers[0].bias[0] == net.layers[0].weight.size
+
+
+def test_dense_net_copies_the_arrays_it_is_given():
+    w, b = np.ones((2, 3)), np.zeros(3)
+    net = DenseNet([Layer(w, b, "linear")])
+    assert not np.shares_memory(net.layers[0].weight, w)
+    assert not np.shares_memory(net.layers[0].bias, b)
+    net.params += 1.0
+    assert np.array_equal(w, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))], ids=["deepcopy", "pickle"]
+)
+def test_copied_net_layers_view_the_new_vector(clone):
+    net = small_net(seed=23, dims=(3, 4, 2), bias_jitter=0.5)
+    twin = clone(net)
+    assert np.array_equal(twin.params, net.params)
+    assert not np.shares_memory(twin.params, net.params)
+    for layer, orig in zip(twin.layers, net.layers):
+        for a, o in ((layer.weight, orig.weight), (layer.bias, orig.bias)):
+            assert np.shares_memory(a, twin.params)
+            assert not np.shares_memory(a, net.params)
+            assert np.array_equal(a, o)
+    twin.params[:] = 0.0
+    assert np.array_equal(forward(twin, np.ones((2, 3))), np.zeros((2, 2)))
+    assert np.abs(net.params).sum() > 0
 
 
 def test_dense_net_rejects_unchained_dims():

@@ -126,6 +126,11 @@ def test_parameter_disjointness_through_full_run(tiny_data, monkeypatch):
     result = run_cemvc(tiny_data, tiny_cfg(tolerance=0.0, max_outer_iters=3))
     assert len(models_seen) == 2
     assert len(result.traces) == 3
+    # and by structure: no two views' encoder or decoder vectors share memory
+    vectors = [(v, p) for v, m in models_seen.items() for p in model_params(m)]
+    for i, (v, p) in enumerate(vectors):
+        for w, q in vectors[i + 1 :]:
+            assert not np.shares_memory(p, q), (v, w)
 
 
 def test_shared_baseline_smoke(tiny_data):
