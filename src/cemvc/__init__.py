@@ -1,6 +1,6 @@
 """Entropy-weighted multi-view clustering with parameter-decoupled autoencoders."""
 
-from .data import MultiViewDataset, inject_noise_view, load_multiview, save_multiview, synth_multiview
+from .data import MultiViewDataset, load_multiview, save_multiview, synth_multiview
 from .metrics import MetricReport, clustering_accuracy, evaluate
 from .model import TrainConfig, ViewModel
 from .pipeline import (
@@ -22,7 +22,6 @@ __all__ = [
     "ViewModel",
     "clustering_accuracy",
     "evaluate",
-    "inject_noise_view",
     "load_multiview",
     "run_ablation",
     "run_cemvc",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import MultiViewDataset, inject_noise_view, synth_multiview
+from .data import MultiViewDataset, synth_multiview
 from .pipeline import ClusteringResult, PipelineConfig, run_cemvc, run_shared_baseline
 from .weighting import WEIGHT_MODES
 
@@ -27,10 +27,9 @@ class BenchPreset:
     name: str
     n_samples: int = 600
     n_clusters: int = 3
-    n_views: int = 2
     dims: tuple[int, ...] = (6, 6)
     separation: tuple[float, ...] = (4.0, 4.0)
-    noise_dim: int = 200
+    noise_dims: tuple[int, ...] = (200,)  # the noise views of the noisy variant
     pipeline: PipelineConfig = field(
         default_factory=lambda: PipelineConfig(n_clusters=3)
     )
@@ -42,18 +41,15 @@ PRESETS = {
 
 
 def preset_dataset(preset: BenchPreset, seed: int, noisy: bool) -> MultiViewDataset:
-    clean = synth_multiview(
+    return synth_multiview(
         preset.n_samples,
         preset.n_clusters,
-        preset.n_views,
         preset.dims,
         preset.separation,
+        noise_dims=preset.noise_dims if noisy else (),
         seed=seed,
         name=preset.name,
     )
-    if not noisy:
-        return clean
-    return inject_noise_view(clean, preset.noise_dim, seed=(seed, 999))
 
 
 def run_variant(
@@ -77,7 +73,7 @@ def summarize(
 
     Rows follow METHODS, clean before noisy. Delta columns are noisy mean
     minus clean mean, so a negative delta is a degradation under the
-    injected noise view.
+    preset's noise views.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")

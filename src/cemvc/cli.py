@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import PRESETS, rows_to_csv, summarize
-from .data import inject_noise_view, load_multiview, save_multiview, synth_multiview
+from .data import load_multiview, save_multiview, synth_multiview
 from .model import TrainConfig
 from .pipeline import (
     ClusteringResult,
@@ -140,17 +140,16 @@ def _new_run_dir(out_root: Path, prefix: str) -> Path:
 
 
 def _cmd_synth(args) -> int:
+    noise_dim = args.dims if args.noise_dim is None else args.noise_dim
     data = synth_multiview(
         args.n,
         args.k,
-        args.views,
-        args.dims,
-        args.sep,
+        (args.dims,) * args.views,
+        (args.sep,) * args.views,
+        noise_dims=(noise_dim,) * args.noise_views,
         seed=args.seed,
         name=args.name,
     )
-    for i in range(args.noise_views):
-        data = inject_noise_view(data, args.noise_dim, seed=(args.seed, 999, i))
     manifest = save_multiview(data, args.out)
     print(f"wrote {data.n_views}-view dataset ({data.n_samples} samples) to {manifest}")
     return 0
@@ -222,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--dims", type=int, default=10, help="columns per informative view")
     p_synth.add_argument("--sep", type=float, default=8.0, help="class-center spread")
     p_synth.add_argument("--noise-views", type=int, default=0, help="appended noise views")
-    p_synth.add_argument("--noise-dim", type=int, default=None, help="columns per noise view")
+    p_synth.add_argument(
+        "--noise-dim", type=int, default=None, help="columns per noise view (default: --dims)"
+    )
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--name", default="synthetic")
     p_synth.set_defaults(func=_cmd_synth)

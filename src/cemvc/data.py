@@ -1,4 +1,4 @@
-"""Dataset container, synthetic generators, noise injection, CSV round-trip.
+"""Dataset container, synthetic generator with noise views, CSV round-trip.
 
 On disk a dataset is a JSON manifest plus one headerless numeric CSV per
 view and an optional one-column integer label CSV. Labels may use any
@@ -73,40 +73,42 @@ class MultiViewDataset:
         return [v.shape[1] for v in self.views]
 
 
-def _per_view(value, n_views: int, name: str) -> list:
-    if np.isscalar(value):
-        return [value] * n_views
-    out = list(value)
-    if len(out) != n_views:
-        raise ValueError(f"{name} must be a scalar or one value per view")
-    return out
-
-
 def synth_multiview(
     n_samples: int,
     n_clusters: int,
-    n_views: int,
     dims,
     separation,
+    noise_dims=(),
     seed: int = 0,
     name: str = "synthetic",
 ) -> MultiViewDataset:
-    """Balanced Gaussian blobs observed through independent views.
+    """Balanced Gaussian blobs seen through independent views, plus noise views.
 
-    Each view draws its own set of class centers from N(0, separation^2 I)
-    and adds unit-variance noise, so views share labels but not geometry.
-    `dims` and `separation` may be scalars or per-view sequences.
+    Informative view v has `dims[v]` columns: it draws its own class centers
+    from N(0, separation[v]^2 I) and adds unit-variance noise, so views share
+    labels but not geometry. All of them come from one generator seeded by
+    `seed`. Noise view j follows them: `noise_dims[j]` columns of N(0, 1)
+    entries, drawn from `np.random.default_rng((seed, 999, j))`, so adding
+    a noise view changes neither the informative views nor earlier noise
+    views.
     """
-    if n_clusters < 1 or n_views < 1:
-        raise ValueError("need at least one cluster and one view")
+    dims = [int(d) for d in dims]
+    seps = [float(s) for s in separation]
+    noise_dims = [int(d) for d in noise_dims]
+    if not dims:
+        raise ValueError("need at least one informative view")
+    if len(seps) != len(dims):
+        raise ValueError(f"got {len(dims)} view dims but {len(seps)} separations")
+    if n_clusters < 1:
+        raise ValueError("need at least one cluster")
     if n_samples < 2 * n_clusters:
         raise ValueError(f"need at least {2 * n_clusters} samples for {n_clusters} clusters")
-    dims = [int(d) for d in _per_view(dims, n_views, "dims")]
-    seps = [float(s) for s in _per_view(separation, n_views, "separation")]
     if any(d < 1 for d in dims):
         raise ValueError("view dimensions must be >= 1")
     if any(s <= 0 for s in seps):
         raise ValueError("separation must be positive")
+    if any(d < 1 for d in noise_dims):
+        raise ValueError("noise view dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     base = np.arange(n_samples) % n_clusters  # exactly balanced when K | N
     labels = rng.permutation(base)
@@ -114,26 +116,9 @@ def synth_multiview(
     for d, sep in zip(dims, seps):
         centers = sep * rng.standard_normal((n_clusters, d))
         views.append(centers[labels] + rng.standard_normal((n_samples, d)))
+    for j, d in enumerate(noise_dims):
+        views.append(np.random.default_rng((seed, 999, j)).standard_normal((n_samples, d)))
     return MultiViewDataset(views, labels, name=name)
-
-
-def inject_noise_view(
-    data: MultiViewDataset, noise_dim: int | None = None, seed: int = 0
-) -> MultiViewDataset:
-    """Append a view of i.i.d. standard-normal entries, labels untouched.
-
-    The default dimension is the mean of the existing view dimensions.
-    Existing view arrays are shared, never copied or mutated.
-    """
-    if noise_dim is None:
-        noise_dim = int(round(float(np.mean(data.dims))))
-    if noise_dim < 1:
-        raise ValueError("noise dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((data.n_samples, noise_dim))
-    return MultiViewDataset(
-        list(data.views) + [noise], data.labels, name=f"{data.name}+noise"
-    )
 
 
 def _read_numeric_csv(path: Path) -> np.ndarray:

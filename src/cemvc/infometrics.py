@@ -226,36 +226,45 @@ def label_entropy(labels, num_classes: int | None = None) -> float:
     return _entropy_from_counts(counts)
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def contingency_table(a, b, names: tuple[str, str] = ("a", "b")) -> np.ndarray:
+    """(k_a, k_b) counts of label pairs: entry (i, j) counts samples with a=i, b=j.
+
+    Both inputs must be 1-D nonnegative integer label vectors of one length;
+    `names` label them in error messages.
+    """
+    a = _as_labels(a, names[0])
+    b = _as_labels(b, names[1])
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
     ka = int(a.max()) + 1
     kb = int(b.max()) + 1
     return np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
 
 
+def _table_entropies(table: np.ndarray) -> tuple[float, float, float]:
+    """H(a), H(b) and H(a, b) of a contingency table."""
+    return (
+        _entropy_from_counts(table.sum(axis=1)),
+        _entropy_from_counts(table.sum(axis=0)),
+        _entropy_from_counts(table.ravel()),
+    )
+
+
 def mutual_information(a, b) -> float:
     """Mutual information of two labelings from their contingency table."""
-    a = _as_labels(a, "a")
-    b = _as_labels(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    table = _contingency(a, b)
-    h_a = _entropy_from_counts(table.sum(axis=1))
-    h_b = _entropy_from_counts(table.sum(axis=0))
-    h_ab = _entropy_from_counts(table.ravel())
+    h_a, h_b, h_ab = _table_entropies(contingency_table(a, b))
     return h_a + h_b - h_ab
+
+
+def nmi_from_table(table: np.ndarray) -> float:
+    """Normalized mutual information 2*MI/(H(a)+H(b)) of a contingency table, 0/0 -> 0."""
+    h_a, h_b, h_ab = _table_entropies(table)
+    if h_a + h_b == 0.0:
+        return 0.0
+    mi = (h_a + h_b) - h_ab
+    return float(min(1.0, max(0.0, 2.0 * mi / (h_a + h_b))))
 
 
 def nmi(a, b) -> float:
     """Normalized mutual information 2*MI/(H(a)+H(b)), with 0/0 -> 0."""
-    a = _as_labels(a, "a")
-    b = _as_labels(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    table = _contingency(a, b)
-    h_a = _entropy_from_counts(table.sum(axis=1))
-    h_b = _entropy_from_counts(table.sum(axis=0))
-    if h_a + h_b == 0.0:
-        return 0.0
-    h_ab = _entropy_from_counts(table.ravel())
-    mi = (h_a + h_b) - h_ab
-    return float(min(1.0, max(0.0, 2.0 * mi / (h_a + h_b))))
+    return nmi_from_table(contingency_table(a, b))

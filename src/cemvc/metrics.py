@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infometrics import _as_labels, nmi
+from .infometrics import contingency_table, nmi_from_table
 
 
 @dataclass
@@ -17,15 +17,8 @@ class MetricReport:
 
 
 def confusion_matrix(pred, truth) -> np.ndarray:
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.shape[0] != truth.shape[0]:
-        raise ValueError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
-    k_pred = int(pred.max()) + 1
-    k_true = int(truth.max()) + 1
-    return np.bincount(pred * k_true + truth, minlength=k_pred * k_true).reshape(
-        k_pred, k_true
-    )
+    """(k_pred, k_true) counts of predicted cluster against true class."""
+    return contingency_table(pred, truth, ("pred", "truth"))
 
 
 def _max_matched_total(table: np.ndarray) -> int:
@@ -86,4 +79,4 @@ def evaluate(result, truth) -> MetricReport:
     """Score a clustering result (or a plain label vector) against truth."""
     pred = getattr(result, "labels", result)
     table = confusion_matrix(pred, truth)
-    return MetricReport(acc=_matched_accuracy(table), nmi=nmi(pred, truth), confusion=table)
+    return MetricReport(acc=_matched_accuracy(table), nmi=nmi_from_table(table), confusion=table)

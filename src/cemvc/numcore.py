@@ -116,15 +116,11 @@ class DenseNet:
         return self.layers[-1].weight.shape[1]
 
 
-def init_dense_net(
-    dims: list[int] | tuple[int, ...],
-    rng: np.random.Generator,
-    output_activation: str = "linear",
-) -> DenseNet:
+def init_dense_net(dims: list[int] | tuple[int, ...], rng: np.random.Generator) -> DenseNet:
     """Build a relu net with the given dimension chain.
 
     Weights are uniform in +-1/sqrt(fan_in), biases zero; hidden layers use
-    relu and the last layer uses `output_activation`.
+    relu and the last layer is linear.
     """
     if len(dims) < 2:
         raise ValueError("need an input and an output dimension")
@@ -132,7 +128,7 @@ def init_dense_net(
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         bound = 1.0 / np.sqrt(fan_in)
         weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        act = output_activation if i == len(dims) - 2 else "relu"
+        act = "linear" if i == len(dims) - 2 else "relu"
         layers.append(Layer(weight, np.zeros(fan_out), act))
     return DenseNet(layers)
 

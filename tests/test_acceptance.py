@@ -2,7 +2,8 @@
 
 The expensive clustering runs are shared through the session-scoped
 `bench_runs` fixture in conftest.py; each criterion then checks its own
-thresholds. Run with `pytest tests/test_acceptance.py -v -s`.
+thresholds; criteria 2 and 3 read round 0 of its noisy enmi_ce runs.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
@@ -56,9 +57,12 @@ def test_criterion_1_entropy_oracles():
     )
 
 
-def test_criterion_2_conditional_entropy_ordering(first_round_stats):
-    elapsed, stats = first_round_stats
-    hits = sum(int(np.argmax(s["cond_entropies"]) == 2) for s in stats)
+def test_criterion_2_conditional_entropy_ordering(bench_runs):
+    # round 0 scores the views and updates the weights once; the timed
+    # cell's fits do that round and the rest of each run
+    elapsed = bench_runs["enmi_ce_noisy_runtime"]
+    first = [r.traces[0] for r in bench_runs["enmi_ce_noisy"]]
+    hits = sum(int(np.argmax(t.cond_entropies) == 2) for t in first)
     ok = hits >= 19 and elapsed < 120.0
     report(
         2,
@@ -68,11 +72,10 @@ def test_criterion_2_conditional_entropy_ordering(first_round_stats):
     )
 
 
-def test_criterion_3_weight_ordering(first_round_stats):
-    _, stats = first_round_stats
+def test_criterion_3_weight_ordering(bench_runs):
     hits = 0
-    for s in stats:
-        w = s["weights"]
+    for run in bench_runs["enmi_ce_noisy"]:
+        w = run.traces[0].weights
         hits += int(np.argmin(w) == 2 and w[2] < min(w[0], w[1]))
     ok = hits >= 19
     report(

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,9 @@ def tiny_preset():
         name="tiny",
         n_samples=90,
         n_clusters=3,
-        n_views=2,
         dims=(5, 5),
         separation=(7.0, 7.0),
-        noise_dim=10,
+        noise_dims=(10,),
         pipeline=PipelineConfig(
             n_clusters=3,
             latent_dim=4,
@@ -38,16 +40,28 @@ def tiny_preset():
 
 def test_default_preset_registered():
     assert "noisy3view" in PRESETS
-    assert PRESETS["noisy3view"].n_views == 2
+    assert PRESETS["noisy3view"].dims == (6, 6)
+    assert PRESETS["noisy3view"].noise_dims == (200,)
 
 
 def test_preset_dataset_noisy_shares_informative_views():
     preset = tiny_preset()
     clean = preset_dataset(preset, seed=1, noisy=False)
     noisy = preset_dataset(preset, seed=1, noisy=True)
-    assert noisy.n_views == clean.n_views + 1
+    assert noisy.n_views == clean.n_views + len(preset.noise_dims)
     for a, b in zip(clean.views, noisy.views):
         assert np.array_equal(a, b)
+
+
+def test_benchmark_inputs_match_the_preset():
+    # the benchmark writes noisy3view itself; this holds it to the program's data
+    repo = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/check_inputs.py"],
+        cwd=repo, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " 0 differences" in done.stdout
 
 
 def test_run_variant_rejects_unknown_method():

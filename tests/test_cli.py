@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cemvc.bench import PRESETS, preset_dataset
 from cemvc.cli import main
-from cemvc.data import load_multiview
+from cemvc.data import load_multiview, save_multiview
 
 
 def run_cli(*args):
@@ -64,6 +65,22 @@ def test_synth_noise_views_listed_in_manifest(tmp_path):
     assert len(manifest["views"]) == 3
     data = load_multiview(out / "manifest.json")
     assert data.dims[-1] == 7
+
+
+def test_synth_noise_dim_defaults_to_view_dim(tmp_path):
+    out = tmp_path / "noisy"
+    assert run_cli("synth", "--out", out, "--n", 40, "--dims", 4, "--noise-views", 2) == 0
+    assert load_multiview(out / "manifest.json").dims == [4, 4, 4, 4]
+
+
+def test_readme_synth_example_writes_noisy3view_seed_0(tmp_path):
+    assert run_cli(
+        "synth", "--out", tmp_path / "cli", "--n", 600, "--k", 3, "--views", 2, "--dims", 6,
+        "--sep", 4.0, "--noise-views", 1, "--noise-dim", 200, "--seed", 0,
+    ) == 0
+    save_multiview(preset_dataset(PRESETS["noisy3view"], 0, noisy=True), tmp_path / "preset")
+    for name in ("view_0.csv", "view_1.csv", "view_2.csv", "labels.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
 
 
 def test_synth_unwritable_path_fails_nonzero(tmp_path, capsys):
@@ -243,7 +260,7 @@ def test_bench_writes_eight_row_summary(tmp_path, monkeypatch):
         n_samples=90,
         dims=(5, 5),
         separation=(7.0, 7.0),
-        noise_dim=10,
+        noise_dims=(10,),
         pipeline=PipelineConfig(
             n_clusters=3,
             latent_dim=4,

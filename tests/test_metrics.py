@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from cemvc.infometrics import nmi
 from cemvc.metrics import (
     _matched_accuracy,
     _max_matched_total,
@@ -135,6 +136,20 @@ def test_accuracy_invariant_under_prediction_relabeling(pred, perm):
     assert clustering_accuracy(pred, truth) == pytest.approx(
         clustering_accuracy(relabeled, truth)
     )
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_scores_equal_the_standalone_metrics(pred, seed):
+    # evaluate builds one table for both scores; each must equal its own path
+    truth = np.random.default_rng(seed).integers(0, 4, size=len(pred))
+    report = evaluate(pred, truth)
+    assert report.acc == clustering_accuracy(pred, truth)
+    assert report.nmi == nmi(pred, truth)
+    assert np.array_equal(report.confusion, confusion_matrix(pred, truth))
 
 
 def test_evaluate_perfect_result():

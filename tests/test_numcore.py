@@ -16,9 +16,9 @@ from cemvc.numcore import (
 )
 
 
-def small_net(seed=0, dims=(3, 5, 2), output_activation="linear", bias_jitter=0.0):
+def small_net(seed=0, dims=(3, 5, 2), bias_jitter=0.0):
     rng = np.random.default_rng(seed)
-    net = init_dense_net(list(dims), rng, output_activation=output_activation)
+    net = init_dense_net(list(dims), rng)
     if bias_jitter:
         for layer in net.layers:
             layer.bias += bias_jitter * rng.standard_normal(layer.bias.shape)

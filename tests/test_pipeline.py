@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cemvc.pipeline as pipeline_module
-from cemvc.data import MultiViewDataset, inject_noise_view, synth_multiview
+from cemvc.data import MultiViewDataset, synth_multiview
 from cemvc.model import TrainConfig, model_params
 from cemvc.pipeline import (
     PipelineConfig,
@@ -30,7 +30,13 @@ def tiny_cfg(seed=0, **overrides):
 
 @pytest.fixture(scope="module")
 def tiny_data():
-    return synth_multiview(120, 3, 2, 5, 7.0, seed=0)
+    return synth_multiview(120, 3, (5, 5), (7.0, 7.0), seed=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_noisy(tiny_data):
+    noise = np.random.default_rng((0, 99)).standard_normal((tiny_data.n_samples, 20))
+    return MultiViewDataset([*tiny_data.views, noise], tiny_data.labels)
 
 
 def test_run_cemvc_smoke(tiny_data):
@@ -78,7 +84,7 @@ def test_determinism_bit_exact(tiny_data):
 
 
 def test_rejects_single_view():
-    data = synth_multiview(60, 3, 1, 5, 7.0, seed=1)
+    data = synth_multiview(60, 3, (5,), (7.0,), seed=1)
     with pytest.raises(ValueError, match="views"):
         run_cemvc(data, tiny_cfg())
     with pytest.raises(ValueError, match="views"):
@@ -86,15 +92,14 @@ def test_rejects_single_view():
 
 
 def test_rejects_fewer_samples_than_clusters():
-    data = synth_multiview(8, 4, 2, 3, 7.0, seed=2)
+    data = synth_multiview(8, 4, (3, 3), (7.0, 7.0), seed=2)
     cfg = tiny_cfg(n_clusters=9)
     with pytest.raises(ValueError, match="clusters"):
         run_cemvc(data, cfg)
 
 
-def test_weight_floor_keeps_noise_view_weight_positive(tiny_data):
-    noisy = inject_noise_view(tiny_data, 20, seed=(0, 99))
-    result = run_cemvc(noisy, tiny_cfg(max_outer_iters=2, tolerance=0.0))
+def test_weight_floor_keeps_noise_view_weight_positive(tiny_noisy):
+    result = run_cemvc(tiny_noisy, tiny_cfg(max_outer_iters=2, tolerance=0.0))
     for trace in result.traces:
         assert (trace.weights > 0).all()
 
@@ -171,7 +176,7 @@ def test_ablation_modes_agree_on_easy_symmetric_data(tiny_data):
 def test_ablation_modes_identical_on_duplicated_views():
     # an exact copy of a view levels the per-view scores, so every mode
     # weights the blocks (near-)equally and lands on the same partition
-    base = synth_multiview(90, 3, 1, 5, 7.0, seed=4)
+    base = synth_multiview(90, 3, (5,), (7.0,), seed=4)
     from cemvc.data import MultiViewDataset
 
     data = MultiViewDataset([base.views[0], base.views[0].copy()], base.labels)
@@ -189,17 +194,16 @@ def test_ablation_modes_identical_on_duplicated_views():
 @pytest.mark.parametrize(
     "mode, numerator", [("nmi", lambda s: s), ("enmi", np.expm1)], ids=["nmi", "enmi"]
 )
-def test_trace_weights_come_from_reported_nmis(tiny_data, mode, numerator):
+def test_trace_weights_come_from_reported_nmis(tiny_noisy, mode, numerator):
     # the noise view's agreement is fractional, so the check is not 1 == 1
-    noisy = inject_noise_view(tiny_data, 20, seed=(0, 99))
-    result = run_cemvc(noisy, tiny_cfg(weighting_mode=mode, tolerance=0.0, max_outer_iters=3))
+    result = run_cemvc(tiny_noisy, tiny_cfg(weighting_mode=mode, tolerance=0.0, max_outer_iters=3))
     assert len(result.traces) == 3
     for trace in result.traces:
         assert np.array_equal(trace.weights, numerator(trace.nmi_to_unified) + WEIGHT_FLOOR)
 
 
 def _degenerate(case: str) -> MultiViewDataset:
-    base = synth_multiview(60, 3, 2, 5, 7.0, seed=7)
+    base = synth_multiview(60, 3, (5, 5), (7.0, 7.0), seed=7)
     a, b = base.views
     rows = slice(None)
     if case == "d1_view":
