@@ -140,6 +140,8 @@ def _new_run_dir(out_root: Path, prefix: str) -> Path:
 
 
 def _cmd_synth(args) -> int:
+    if args.noise_views < 0:
+        raise ValueError(f"--noise-views must be >= 0, got {args.noise_views}")
     noise_dim = args.dims if args.noise_dim is None else args.noise_dim
     data = synth_multiview(
         args.n,

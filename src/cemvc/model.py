@@ -59,17 +59,16 @@ class ViewModel:
     encoder: DenseNet
     decoder: DenseNet
     view_index: int
-    latent_dim: int
 
     def __post_init__(self) -> None:
-        if self.encoder.output_dim != self.latent_dim:
-            raise ValueError(
-                f"encoder output dim {self.encoder.output_dim} != latent dim {self.latent_dim}"
-            )
         if self.decoder.input_dim != self.latent_dim:
             raise ValueError(
                 f"decoder input dim {self.decoder.input_dim} != latent dim {self.latent_dim}"
             )
+
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder.output_dim
 
 
 def build_view_model(
@@ -83,7 +82,7 @@ def build_view_model(
     hidden = list(hidden_dims)
     encoder = init_dense_net([input_dim, *hidden, latent_dim], rng)
     decoder = init_dense_net([latent_dim, *reversed(hidden), input_dim], rng)
-    return ViewModel(encoder, decoder, view_index, latent_dim)
+    return ViewModel(encoder, decoder, view_index)
 
 
 def model_params(model: ViewModel) -> list[np.ndarray]:
@@ -99,21 +98,25 @@ def reconstruct(model: ViewModel, x) -> np.ndarray:
     return forward(model.decoder, forward(model.encoder, x))
 
 
-def reconstruction_loss(model: ViewModel, x) -> float:
-    x = as_matrix(x, "input")
-    diff = reconstruct(model, x) - x
-    return float(np.einsum("ij,ij->", diff, diff)) / x.shape[0]
-
-
 def combined_loss(
     model: ViewModel, x, target, centroids, clustering_weight: float
 ) -> float:
-    loss = reconstruction_loss(model, x)
+    """recon + clustering_weight * clustering, from one encoder pass.
+
+    With clustering_weight == 0 the target and centroids are never read.
+    """
+    x = as_matrix(x, "input")
+    latent = forward(model.encoder, x)
+    diff = forward(model.decoder, latent) - x
+    loss = float(np.einsum("ij,ij->", diff, diff)) / x.shape[0]
     if clustering_weight > 0:
-        q = soft_assign(encode(model, x), centroids)
-        diff = q - target
+        diff = soft_assign(latent, centroids) - target
         loss += clustering_weight * float(np.einsum("ij,ij->", diff, diff)) / x.shape[0]
     return loss
+
+
+def reconstruction_loss(model: ViewModel, x) -> float:
+    return combined_loss(model, x, None, None, 0.0)
 
 
 class _StepBuffers:

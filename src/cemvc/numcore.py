@@ -1,11 +1,12 @@
 """Minimal dense feed-forward network engine with hand-derived gradients.
 
 Everything runs on float64 numpy arrays. Matrices are row-major
-(samples, features). The engine supports relu hidden layers and linear
-output layers, which is all the autoencoders in this package need.
+(samples, features). Every net is a relu MLP: relu follows every layer
+but the last, which is linear; that is all the autoencoders here need.
 
-A DenseNet keeps its parameters in one vector, `net.params`, laid out as
-[W0, b0, W1, b1, ...]; each layer's weight and bias are views into it.
+A DenseNet is its `dims` chain plus one parameter vector, `net.params`,
+laid out as [W0, b0, W1, b1, ...]; each layer's weight and bias are views
+into it.
 
 forward without a Workspace validates its input and returns fresh arrays.
 A training loop instead owns a Workspace per net: forward writes the
@@ -18,14 +19,16 @@ mutated only by adam_step, so a single training loop owns it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Array = np.ndarray
 
-ACTIVATIONS = ("relu", "linear")
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 def as_matrix(values, name: str = "matrix") -> Array:
@@ -40,97 +43,70 @@ def as_matrix(values, name: str = "matrix") -> Array:
 
 @dataclass
 class Layer:
+    """One layer's arrays, as views into its net's parameter vector."""
+
     weight: Array  # (fan_in, fan_out)
     bias: Array    # (fan_out,)
-    activation: str
-
-    def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
-            )
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError(f"layer weight must be 2-D, got shape {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match weight fan-out "
-                f"{self.weight.shape[1]}"
-            )
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
-            raise ValueError("layer parameters contain non-finite entries")
 
 
-def _layer_views(vector: Array, layers: list[Layer]) -> list[Array]:
-    """[W0, b0, W1, b1, ...] as views into `vector`, in the layout of net.params."""
-    views, start = [], 0
-    for layer in layers:
-        for shape in (layer.weight.shape, layer.bias.shape):
-            size = math.prod(shape)
-            views.append(vector[start : start + size].reshape(shape))
-            start += size
-    return views
+def _layers(vector: Array, dims: tuple[int, ...]) -> list[Layer]:
+    """Each layer's weight and bias as views into `vector`, laid out like net.params."""
+    layers, start = [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        stop = start + fan_in * fan_out
+        weight = vector[start:stop].reshape(fan_in, fan_out)
+        layers.append(Layer(weight, vector[stop : stop + fan_out]))
+        start = stop + fan_out
+    return layers
 
 
-@dataclass
+def _param_count(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
 class DenseNet:
-    """Layers whose arrays are copied into `params` and then viewed from it.
+    """The net on the widths `dims`, with a copy of `params` as its vector."""
 
-    A Layer belongs to the one net built from it.
-    """
-
-    layers: list[Layer]
-    params: Array = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("DenseNet needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.weight.shape[1] != nxt.weight.shape[0]:
-                raise ValueError(
-                    f"layer dimensions do not chain: {prev.weight.shape[1]} -> "
-                    f"{nxt.weight.shape[0]}"
-                )
-        self.params = np.concatenate(
-            [a.ravel() for layer in self.layers for a in (layer.weight, layer.bias)]
-        )
-        self._link()
-
-    def _link(self) -> None:
-        views = _layer_views(self.params, self.layers)
-        for layer, weight, bias in zip(self.layers, views[::2], views[1::2]):
-            layer.weight, layer.bias = weight, bias
+    def __init__(self, dims, params) -> None:
+        self.dims = tuple(dims)
+        if len(self.dims) < 2:
+            raise ValueError("need an input and an output dimension")
+        if min(self.dims) < 1:
+            raise ValueError(f"every width must be >= 1, got dims {self.dims}")
+        self.params = np.array(params, dtype=np.float64)
+        size = _param_count(self.dims)
+        if self.params.shape != (size,):
+            raise ValueError(
+                f"dims {self.dims} need a vector of {size} parameters, "
+                f"got shape {self.params.shape}"
+            )
+        if not np.isfinite(self.params).all():
+            raise ValueError("parameters contain non-finite entries")
+        self.layers = _layers(self.params, self.dims)
 
     def __setstate__(self, state: dict) -> None:
         # deepcopy and pickle copy each view on its own; re-link them
         self.__dict__.update(state)
-        self._link()
+        self.layers = _layers(self.params, self.dims)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
+        return self.dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
+        return self.dims[-1]
 
 
 def init_dense_net(dims: list[int] | tuple[int, ...], rng: np.random.Generator) -> DenseNet:
-    """Build a relu net with the given dimension chain.
-
-    Weights are uniform in +-1/sqrt(fan_in), biases zero; hidden layers use
-    relu and the last layer is linear.
-    """
-    if len(dims) < 2:
-        raise ValueError("need an input and an output dimension")
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        bound = 1.0 / np.sqrt(fan_in)
-        weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        act = "linear" if i == len(dims) - 2 else "relu"
-        layers.append(Layer(weight, np.zeros(fan_out), act))
-    return DenseNet(layers)
+    """A net on the `dims` chain: weights uniform in +-1/sqrt(fan_in), drawn
+    layer by layer, and zero biases."""
+    # never a negative size, so a bad chain fails in DenseNet's own checks
+    net = DenseNet(dims, np.zeros(max(_param_count(dims), 0)))
+    for layer in net.layers:
+        bound = 1.0 / np.sqrt(layer.weight.shape[0])
+        layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
+    return net
 
 
 class Workspace:
@@ -145,19 +121,16 @@ class Workspace:
     """
 
     def __init__(self, net: DenseNet, rows: int, input_grad: bool = False) -> None:
-        self.acts = [np.empty((rows, layer.weight.shape[1])) for layer in net.layers]
-        self.masks = [
-            np.empty((rows, layer.weight.shape[1]), dtype=bool)
-            if layer.activation == "relu" else None
-            for layer in net.layers
-        ]
+        self.acts = [np.empty((rows, width)) for width in net.dims[1:]]
+        # relu masks, for the hidden layers only
+        self.masks = [np.empty((rows, width), dtype=bool) for width in net.dims[1:-1]]
         # deltas[i] holds dL/d(input of layer i); layer 0's only if asked for
         self.deltas = [
-            np.empty((rows, layer.weight.shape[0])) if i or input_grad else None
-            for i, layer in enumerate(net.layers)
+            np.empty((rows, width)) if i or input_grad else None
+            for i, width in enumerate(net.dims[:-1])
         ]
         self.grad = np.empty_like(net.params)
-        self.grads = _layer_views(self.grad, net.layers)
+        self.grads = _layers(self.grad, net.dims)
 
 
 def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
@@ -175,11 +148,12 @@ def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
                 f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
             )
     m = x.shape[0]
+    last = len(net.layers) - 1
     a = x
     for i, layer in enumerate(net.layers):
         a = np.matmul(a, layer.weight, out=None if work is None else work.acts[i][:m])
         a += layer.bias
-        if layer.activation == "relu":
+        if i < last:
             np.maximum(a, 0.0, out=a)
     return a
 
@@ -194,6 +168,7 @@ def backward(
     net.params, and input_grad is dL/dx (a view into work) if work was
     built with input_grad, else None.
     The relu mask uses the post-activations: relu(z) > 0 exactly when z > 0.
+    The linear last layer never writes to the caller's loss gradient.
     """
     m = x.shape[0]
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
@@ -202,19 +177,18 @@ def backward(
             f"loss gradient shape {loss_grad.shape} does not match output shape "
             f"{(m, net.output_dim)}"
         )
+    last = len(net.layers) - 1
     delta = loss_grad
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if layer.activation == "relu":
+    for i in range(last, -1, -1):
+        if i < last:
             mask = np.greater(work.acts[i][:m], 0.0, out=work.masks[i][:m])
-            # the caller's loss gradient is never written to
-            delta = delta * mask if delta is loss_grad else np.multiply(delta, mask, out=delta)
+            np.multiply(delta, mask, out=delta)
         inputs = work.acts[i - 1][:m] if i else x
-        np.matmul(inputs.T, delta, out=work.grads[2 * i])
-        np.sum(delta, axis=0, out=work.grads[2 * i + 1])
+        np.matmul(inputs.T, delta, out=work.grads[i].weight)
+        np.sum(delta, axis=0, out=work.grads[i].bias)
         if work.deltas[i] is None:
             return work.grad, None
-        delta = np.matmul(delta, layer.weight.T, out=work.deltas[i][:m])
+        delta = np.matmul(delta, net.layers[i].weight.T, out=work.deltas[i][:m])
     return work.grad, delta
 
 
@@ -230,15 +204,12 @@ class AdamState:
     first_moment: Array
     second_moment: Array
     scratch: tuple[Array, Array]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
 
 
-def init_adam(params: Array, learning_rate: float, **kwargs) -> AdamState:
+def init_adam(params: Array, learning_rate: float) -> AdamState:
     scratch = (np.empty_like(params), np.empty_like(params))
-    return AdamState(learning_rate, np.zeros_like(params), np.zeros_like(params), scratch, **kwargs)
+    return AdamState(learning_rate, np.zeros_like(params), np.zeros_like(params), scratch)
 
 
 def adam_step(net: DenseNet, grad: Array, state: AdamState, name: str = "net") -> None:
@@ -253,23 +224,22 @@ def adam_step(net: DenseNet, grad: Array, state: AdamState, name: str = "net") -
     if grad.shape != p.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameter shape {p.shape}")
     if not np.isfinite(grad).all():
-        views = _layer_views(grad, net.layers)
-        j = next(j for j, g in enumerate(views) if not np.isfinite(g).all())
-        kind = "bias" if j % 2 else "weight"
-        raise FloatingPointError(f"non-finite gradient for {name}.layer{j // 2}.{kind}")
+        for i, layer in enumerate(_layers(grad, net.dims)):
+            for kind in ("weight", "bias"):
+                if not np.isfinite(getattr(layer, kind)).all():
+                    raise FloatingPointError(f"non-finite gradient for {name}.layer{i}.{kind}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     m, v, (s1, s2) = state.first_moment, state.second_moment, state.scratch
-    m *= b1
-    m += np.multiply(grad, 1.0 - b1, out=s1)
-    v *= b2
-    v += np.multiply(np.square(grad, out=s2), 1.0 - b2, out=s2)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=s1)
+    v *= BETA2
+    v += np.multiply(np.square(grad, out=s2), 1.0 - BETA2, out=s2)
     np.divide(m, c1, out=s1)  # m_hat
     np.divide(v, c2, out=s2)  # v_hat
     np.sqrt(s2, out=s2)
-    s2 += state.epsilon
+    s2 += EPSILON
     s1 *= state.learning_rate
     s1 /= s2
     p -= s1

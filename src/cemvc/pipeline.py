@@ -51,6 +51,8 @@ class PipelineConfig:
             )
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
 

@@ -83,6 +83,13 @@ def test_readme_synth_example_writes_noisy3view_seed_0(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
 
 
+def test_synth_rejects_negative_noise_views(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert run_cli("synth", "--out", out, "--n", 40, "--noise-views", -1) == 1
+    assert "--noise-views must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_unwritable_path_fails_nonzero(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

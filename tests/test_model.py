@@ -279,16 +279,17 @@ def test_minibatch_training_runs_and_is_deterministic():
 
 def ref_backward(net, x, loss_grad):
     inputs, pre, a = [x], [], x
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
         z = a @ layer.weight + layer.bias
         pre.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < last else z
         inputs.append(a)
     grads = [None] * (2 * len(net.layers))
     delta = loss_grad
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         layer = net.layers[i]
-        if layer.activation == "relu":
+        if i < last:
             delta = delta * (pre[i] > 0)
         grads[2 * i] = inputs[i].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)

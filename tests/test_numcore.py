@@ -6,7 +6,6 @@ import pytest
 
 from cemvc.numcore import (
     DenseNet,
-    Layer,
     Workspace,
     adam_step,
     backward,
@@ -52,7 +51,7 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
 
 def one_param_net(weight, bias):
     """A 1x1 linear net: net.params is [weight, bias]."""
-    return DenseNet([Layer(np.array([[weight]]), np.array([bias]), "linear")])
+    return DenseNet((1, 1), [weight, bias])
 
 
 def max_rel_error(analytic, numeric):
@@ -64,30 +63,25 @@ def max_rel_error(analytic, numeric):
 
 
 def test_forward_zero_weights_gives_zero_output():
-    net = DenseNet(
-        [
-            Layer(np.zeros((4, 3)), np.zeros(3), "relu"),
-            Layer(np.zeros((3, 2)), np.zeros(2), "linear"),
-        ]
-    )
+    net = DenseNet((4, 3, 2), np.zeros(4 * 3 + 3 + 3 * 2 + 2))
     x = np.random.default_rng(1).standard_normal((7, 4))
     assert np.array_equal(forward(net, x), np.zeros((7, 2)))
 
 
 def test_forward_single_linear_layer_hand_case():
-    net = DenseNet([Layer(np.array([[2.0]]), np.array([1.0]), "linear")])
+    net = DenseNet((1, 1), [2.0, 1.0])
     out = forward(net, np.array([[3.0]]))
     assert out == pytest.approx(np.array([[7.0]]))
 
 
 def test_forward_matches_straight_line_recomputation():
-    # independent re-evaluation of the affine+activation chain
+    # independent re-evaluation of the affine chain, relu on all but the last layer
     net = small_net(seed=7, dims=(4, 6, 5, 3), bias_jitter=0.5)
     x = np.random.default_rng(8).standard_normal((9, 4))
     a = x
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         z = a @ layer.weight + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < len(net.layers) - 1 else z
     assert np.array_equal(forward(net, x), a)
 
 
@@ -115,7 +109,7 @@ def test_backward_single_linear_layer_closed_form():
     # squared-error loss on one sample: dW = 2 (Wx + b - y) x^T
     w = np.array([[1.5, -0.5], [0.25, 2.0]])
     b = np.array([0.1, -0.3])
-    net = DenseNet([Layer(w.copy(), b.copy(), "linear")])
+    net = DenseNet((2, 2), np.concatenate([w.ravel(), b]))
     x = np.array([[0.7, -1.2]])
     y = np.array([[0.2, 0.9]])
     resid = x @ w + b - y
@@ -228,15 +222,21 @@ def test_layers_are_views_into_the_parameter_vector():
     net.params[:] = np.arange(net.params.size)
     assert net.layers[0].weight[0, 1] == 1.0
     assert net.layers[0].bias[0] == net.layers[0].weight.size
+    # in-place arithmetic on a layer's array reaches the vector, and only its slice
+    before = net.params.copy()
+    net.layers[1].bias += 0.5
+    start = net.layers[0].weight.size + net.layers[0].bias.size + net.layers[1].weight.size
+    changed = np.flatnonzero(net.params != before)
+    assert np.array_equal(changed, np.arange(start, start + 5))
+    assert np.array_equal(net.params[changed], before[changed] + 0.5)
 
 
 def test_dense_net_copies_the_arrays_it_is_given():
-    w, b = np.ones((2, 3)), np.zeros(3)
-    net = DenseNet([Layer(w, b, "linear")])
-    assert not np.shares_memory(net.layers[0].weight, w)
-    assert not np.shares_memory(net.layers[0].bias, b)
+    params = np.ones(2 * 3 + 3)
+    net = DenseNet((2, 3), params)
+    assert not np.shares_memory(net.params, params)
     net.params += 1.0
-    assert np.array_equal(w, np.ones((2, 3)))
+    assert np.array_equal(params, np.ones(9))
 
 
 @pytest.mark.parametrize(
@@ -257,16 +257,16 @@ def test_copied_net_layers_view_the_new_vector(clone):
     assert np.abs(net.params).sum() > 0
 
 
-def test_dense_net_rejects_unchained_dims():
-    with pytest.raises(ValueError, match="chain"):
-        DenseNet(
-            [
-                Layer(np.zeros((3, 4)), np.zeros(4), "relu"),
-                Layer(np.zeros((5, 2)), np.zeros(2), "linear"),
-            ]
-        )
-
-
-def test_layer_rejects_unknown_activation():
-    with pytest.raises(ValueError, match="activation"):
-        Layer(np.zeros((2, 2)), np.zeros(2), "tanh")
+@pytest.mark.parametrize(
+    "dims, params, match",
+    [
+        ((3, 2), np.zeros(7), "need a vector of 8 parameters"),
+        ((3, 2), np.r_[np.zeros(7), np.inf], "non-finite"),
+        ((3,), np.zeros(0), "input and an output"),
+        ((3, 0, 2), np.zeros(2), "width"),
+    ],
+    ids=["wrong-size", "non-finite", "one-dim", "zero-width"],
+)
+def test_dense_net_rejects_bad_construction(dims, params, match):
+    with pytest.raises(ValueError, match=match):
+        DenseNet(dims, params)

@@ -253,3 +253,6 @@ def test_config_validation():
         PipelineConfig(n_clusters=3, weighting_mode="bogus")
     with pytest.raises(ValueError, match="restarts"):
         PipelineConfig(n_clusters=3, kmeans_restarts=0)
+    for hidden in ((0,), (-2,)):
+        with pytest.raises(ValueError, match="hidden_dims"):
+            PipelineConfig(n_clusters=3, hidden_dims=hidden)
