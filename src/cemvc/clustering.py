@@ -15,21 +15,24 @@ KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", x, x)[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _squared_distances(x: np.ndarray, x_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Every point's squared distance to every center, given x_norms = _row_norms(x)."""
+    d2 = x_norms[:, None] + _row_norms(centers)[None, :] - 2.0 * (x @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    x: np.ndarray, x_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    closest = _squared_distances(x, centers[:1]).ravel()
+    closest = _squared_distances(x, x_norms, centers[:1]).ravel()
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -37,7 +40,7 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         else:
             idx = int(rng.choice(n, p=closest / total))
         centers[i] = x[idx]
-        np.minimum(closest, _squared_distances(x, centers[i : i + 1]).ravel(), out=closest)
+        np.minimum(closest, _squared_distances(x, x_norms, centers[i : i + 1]).ravel(), out=closest)
     return centers
 
 
@@ -71,16 +74,10 @@ def kmeans(
         raise ValueError(f"cannot form {k} clusters from {n} points")
     if init is None and n_init > 1:
         base = (seed,) if np.isscalar(seed) else tuple(seed)
-        best = None
-        for restart in range(n_init):
-            centroids, labels = kmeans(
-                x, k, seed=base + (restart,), max_iter=max_iter, tol=tol
-            )
-            score = inertia(x, centroids, labels)
-            if best is None or score < best[0]:
-                best = (score, centroids, labels)
-        return best[1], best[2]
+        runs = [kmeans(x, k, seed=base + (r,), max_iter=max_iter, tol=tol) for r in range(n_init)]
+        return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
     rng = np.random.default_rng(seed)
+    x_norms = _row_norms(x)
     if init is not None:
         centroids = np.array(init, dtype=np.float64, copy=True)
         if centroids.shape != (k, d):
@@ -88,23 +85,30 @@ def kmeans(
                 f"init centroids have shape {centroids.shape}, expected {(k, d)}"
             )
     else:
-        centroids = _kmeans_plus_plus(x, k, rng)
+        centroids = _kmeans_plus_plus(x, x_norms, k, rng)
     for _ in range(max_iter):
-        labels = np.argmin(_squared_distances(x, centroids), axis=1)
+        labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
         new_centroids = centroids.copy()
         for j in range(k):
             members = labels == j
             if members.any():
                 new_centroids[j] = x[members].mean(axis=0)
             else:
-                far = np.argmax(_squared_distances(x, centroids[j : j + 1]).ravel())
+                far = np.argmax(_squared_distances(x, x_norms, centroids[j : j + 1]).ravel())
                 new_centroids[j] = x[far]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
             break
-    labels = np.argmin(_squared_distances(x, centroids), axis=1)
+    labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
     return centroids, labels
+
+
+def _student_t(r: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Student-t kernel s = (1+d^2)^-1, its row sums and q = s / row sums."""
+    s = 1.0 / (1.0 + _squared_distances(r, _row_norms(r), centroids))
+    row_sum = s.sum(axis=1, keepdims=True)
+    return s, row_sum, s / row_sum
 
 
 def soft_assign(r, centroids) -> np.ndarray:
@@ -116,21 +120,19 @@ def soft_assign(r, centroids) -> np.ndarray:
             f"point dimension {r.shape[1]} does not match centroid dimension "
             f"{centroids.shape[1]}"
         )
-    s = 1.0 / (1.0 + _squared_distances(r, centroids))
-    return s / s.sum(axis=1, keepdims=True)
+    return _student_t(r, centroids)[2]
 
 
 def soft_assign_input_grad(
-    r: np.ndarray, centroids: np.ndarray, upstream: np.ndarray
+    r: np.ndarray, centroids: np.ndarray, kernel: tuple, upstream: np.ndarray
 ) -> np.ndarray:
     """d(loss)/d(points) given upstream = d(loss)/d(soft labels).
 
+    `kernel` is _student_t(r, centroids), as the caller already holds it.
     Centroids are treated as constants; only the point coordinates receive
     gradient, matching a training round with frozen centroids.
     """
-    s = 1.0 / (1.0 + _squared_distances(r, centroids))
-    row_sum = s.sum(axis=1, keepdims=True)
-    q = s / row_sum
+    s, row_sum, q = kernel
     # dL/ds_il = (g_il - sum_k g_ik q_ik) / S_i, then through s = 1/(1+d^2).
     g_dot_q = (upstream * q).sum(axis=1, keepdims=True)
     d_s = (upstream - g_dot_q) / row_sum

@@ -89,9 +89,10 @@ def _view_entropies(
     in blocks held by V + 2 buffers that every block reuses.
     Per block, each view's scaled distances S_v = -0.5 * max(D_v, 0), with
     its own sample at -inf, repeat the dense estimator's operations in the
-    same order. So a marginal value equals the dense one bit for bit
-    wherever BLAS adds up a block's dot products as it does for the full
-    z @ z.T; a one-row block (a matrix-vector call) of a d=2 view need not.
+    same order. So a marginal value equals the dense one bit for bit where
+    BLAS rounds a block's dot products as for the full z @ z.T: numpy sends
+    that product, and a single block z[0:n] @ z.T, to syrk, but a proper row
+    block z[s:e] @ z.T to gemm (one row: gemv), which may round differently.
     Silverman's joint bandwidth of a column of view v is its marginal one
     divided by a constant, so the joint block is r_v * S_v + r_u * S_u with
     r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)). A joint value

@@ -3,8 +3,8 @@
 A ViewModel owns its encoder and decoder outright, each with its own
 parameter vector; nothing is shared between views, so finetuning one view
 can never move another view's parameters. pretrain and finetune_view run
-the same step loop, with Adam updating each net's vector in one pass.
-Training minimizes per-sample Frobenius losses:
+the same step loop, with Adam updating each net's vector in one pass. The
+step is the only code that computes the per-sample Frobenius losses:
 
     recon      = ||X - decode(encode(X))||_F^2 / N
     clustering = ||T - soft_assign(encode(X), centroids)||_F^2 / N
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import soft_assign, soft_assign_input_grad
+from .clustering import _student_t, soft_assign_input_grad
 from .numcore import (
     DenseNet,
     Workspace,
@@ -34,6 +34,14 @@ from .numcore import (
 )
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject a config count that is not an integer >= minimum; bools are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     pretrain_epochs: int = 200
@@ -44,10 +52,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pretrain_epochs < 1 or self.finetune_steps_per_round < 1:
-            raise ValueError("epoch and step counts must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        check_count("pretrain_epochs", self.pretrain_epochs)
+        check_count("finetune_steps_per_round", self.finetune_steps_per_round)
+        if self.batch_size is not None:
+            check_count("batch_size", self.batch_size)
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.clustering_weight < 0:
@@ -94,29 +102,38 @@ def encode(model: ViewModel, x) -> np.ndarray:
     return forward(model.encoder, x)
 
 
-def reconstruct(model: ViewModel, x) -> np.ndarray:
-    return forward(model.decoder, forward(model.encoder, x))
+def _checked_inputs(model: ViewModel, x, target, centroids, clustering_weight: float):
+    """x, target and centroids as finite float64 matrices that fit the model.
 
-
-def combined_loss(
-    model: ViewModel, x, target, centroids, clustering_weight: float
-) -> float:
-    """recon + clustering_weight * clustering, from one encoder pass.
-
-    With clustering_weight == 0 the target and centroids are never read.
+    With clustering_weight == 0 the target and centroids are returned unread.
     """
-    x = as_matrix(x, "input")
-    latent = forward(model.encoder, x)
-    diff = forward(model.decoder, latent) - x
-    loss = float(np.einsum("ij,ij->", diff, diff)) / x.shape[0]
+    x = as_matrix(x, "view data")
+    if x.shape[1] != model.encoder.input_dim:
+        raise ValueError(
+            f"input has {x.shape[1]} columns but the first layer expects "
+            f"{model.encoder.input_dim}"
+        )
     if clustering_weight > 0:
-        diff = soft_assign(latent, centroids) - target
-        loss += clustering_weight * float(np.einsum("ij,ij->", diff, diff)) / x.shape[0]
-    return loss
+        target = as_matrix(target, "target")
+        centroids = as_matrix(centroids, "centroids")
+        if target.shape[0] != x.shape[0]:
+            raise ValueError(f"target has {target.shape[0]} rows, view data has {x.shape[0]}")
+        if centroids.shape != (target.shape[1], model.latent_dim):
+            raise ValueError(
+                f"centroids have shape {centroids.shape}, expected "
+                f"({target.shape[1]}, {model.latent_dim})"
+            )
+    return x, target, centroids
 
 
-def reconstruction_loss(model: ViewModel, x) -> float:
-    return combined_loss(model, x, None, None, 0.0)
+def combined_loss(model: ViewModel, x, target, centroids, clustering_weight: float) -> float:
+    """The loss of one full-batch training step on x; its gradient is discarded.
+
+    Inputs are checked as finetune_view checks them. With
+    clustering_weight == 0 the target and centroids are never read.
+    """
+    x, target, centroids = _checked_inputs(model, x, target, centroids, clustering_weight)
+    return _loss_and_grads(model, x, target, centroids, clustering_weight)[0]
 
 
 class _StepBuffers:
@@ -128,7 +145,6 @@ class _StepBuffers:
     def __init__(self, model: ViewModel, rows: int) -> None:
         self.enc = Workspace(model.encoder, rows)
         self.dec = Workspace(model.decoder, rows, input_grad=True)
-        self.diff = np.empty((rows, model.decoder.output_dim))
 
 
 def _loss_and_grads(
@@ -141,7 +157,8 @@ def _loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """Combined loss and its gradient, one vector per net as in model_params.
 
-    With clustering_weight == 0 the target is never touched, so callers may
+    This is the only code that computes the objective. With
+    clustering_weight == 0 the target is never touched, so callers may
     pass None (or garbage) for it. A training loop passes its `bufs`, and
     the gradients it gets back live in them until the next step; without
     `bufs` the gradients are fresh arrays owned by the caller.
@@ -150,19 +167,19 @@ def _loss_and_grads(
     if bufs is None:
         bufs = _StepBuffers(model, n)
     latent = forward(model.encoder, x, bufs.enc)
-    recon = forward(model.decoder, latent, bufs.dec)
-    diff = np.subtract(recon, x, out=bufs.diff[:n])
+    # the residual overwrites the decoder's output, which backward never reads
+    diff = forward(model.decoder, latent, bufs.dec)
+    diff -= x
     loss = float(np.einsum("ij,ij->", diff, diff)) / n
-    diff *= 2.0
-    diff /= n  # now the reconstruction loss gradient 2 * diff / n
+    # the gradient 2 * diff / n; as 2 * diff and n / 2 are exact, one division rounds alike
+    diff /= n / 2
     dec_grad, d_latent = backward(model.decoder, latent, diff, bufs.dec)
     if clustering_weight > 0:
-        q = soft_assign(latent, centroids)
-        q_diff = q - target
+        kernel = _student_t(latent, centroids)
+        q_diff = kernel[2] - target
         loss += clustering_weight * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
-        d_cluster = soft_assign_input_grad(latent, centroids, 2.0 * q_diff / n)
-        d_cluster *= clustering_weight
-        d_latent += d_cluster
+        upstream = 2.0 * q_diff / n
+        d_latent += clustering_weight * soft_assign_input_grad(latent, centroids, kernel, upstream)
     enc_grad, _ = backward(model.encoder, x, d_latent, bufs.enc)
     return loss, [enc_grad, dec_grad]
 
@@ -226,37 +243,14 @@ def pretrain(
     return model
 
 
-def finetune_view(
-    model: ViewModel,
-    x,
-    target,
-    centroids,
-    cfg: TrainConfig,
-) -> ViewModel:
+def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig) -> ViewModel:
     """Run finetune_steps_per_round combined-loss steps on this view only.
 
     Centroids stay frozen for the whole round. With clustering_weight == 0
     the target matrix is never read.
     """
-    x = as_matrix(x, "view data")
-    if x.shape[1] != model.encoder.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns but the first layer expects "
-            f"{model.encoder.input_dim}"
-        )
     lam = cfg.clustering_weight
-    if lam > 0:
-        target = as_matrix(target, "target")
-        centroids = as_matrix(centroids, "centroids")
-        if target.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"target has {target.shape[0]} rows, view data has {x.shape[0]}"
-            )
-        if centroids.shape != (target.shape[1], model.latent_dim):
-            raise ValueError(
-                f"centroids have shape {centroids.shape}, expected "
-                f"({target.shape[1]}, {model.latent_dim})"
-            )
+    x, target, centroids = _checked_inputs(model, x, target, centroids, lam)
     batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
     _train(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,

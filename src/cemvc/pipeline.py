@@ -20,7 +20,7 @@ from .clustering import hard_labels, kmeans, target_distribution, unified_soft_l
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
-from .model import TrainConfig, combined_loss, encode, finetune_view, pretrain
+from .model import TrainConfig, check_count, combined_loss, encode, finetune_view, pretrain
 from .weighting import WEIGHT_MODES, scale_representations, update_weights
 
 
@@ -38,10 +38,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 2:
-            raise ValueError("need at least 2 clusters")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        check_count("n_clusters", self.n_clusters, minimum=2)
+        check_count("latent_dim", self.latent_dim)
+        for i, width in enumerate(self.hidden_dims):
+            check_count(f"hidden_dims[{i}]", width)
+        check_count("max_outer_iters", self.max_outer_iters)
+        check_count("kmeans_restarts", self.kmeans_restarts)
         if not 0.0 <= self.tolerance <= 1.0:
             raise ValueError("tolerance must lie in [0, 1]")
         if self.weighting_mode not in WEIGHT_MODES:
@@ -49,12 +51,6 @@ class PipelineConfig:
                 f"unknown weighting mode {self.weighting_mode!r}, "
                 f"expected one of {WEIGHT_MODES}"
             )
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ValueError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
 
 
 @dataclass

@@ -222,6 +222,27 @@ def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"latent_dim": 2.5}, "latent_dim"),
+        ({"hidden_dims": [8.5]}, "hidden_dims[0]"),
+        ({"n_clusters": 3.0}, "n_clusters"),
+        ({"train": {"pretrain_epochs": 2.5}}, "pretrain_epochs"),
+        ({"latent_dim": True}, "latent_dim"),
+        ({"max_outer_iters": 1.5}, "max_outer_iters"),
+    ],
+)
+def test_run_rejects_non_integer_counts_before_making_a_run_dir(
+    dataset_dir, tmp_path, capsys, override, field
+):
+    out = tmp_path / "runs"
+    cfg = fast_config(tmp_path, **override)
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", cfg) == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
     # the keys listed in the cli module docstring, each set away from its default
     documented = {

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cemvc.clustering as clustering_module
 from cemvc.clustering import (
+    _student_t,
     hard_labels,
     inertia,
     kmeans,
@@ -119,6 +121,26 @@ def test_kmeans_reseeds_an_empty_cluster_to_the_farthest_point():
     assert np.array_equal(labels, again[1])
 
 
+def test_kmeans_computes_the_point_norms_once_per_seeding(monkeypatch):
+    # k-means++ steps, Lloyd iterations and the empty-cluster reseed share one ||x||^2
+    x = np.random.default_rng(14).standard_normal((40, 3))
+    real = clustering_module._row_norms
+    point_calls = []
+
+    def counting(a):
+        if a.shape[0] == x.shape[0]:
+            point_calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(clustering_module, "_row_norms", counting)
+    kmeans(x, 3, seed=0)
+    assert len(point_calls) == 1
+    kmeans(x, 3, init=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1e3, 0.0, 0.0]]))
+    assert len(point_calls) == 2
+    kmeans(x, 3, seed=0, n_init=4)
+    assert len(point_calls) == 6  # one per restart
+
+
 def test_soft_assign_near_centroid_takes_most_mass():
     centroids = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     q = soft_assign(np.array([[0.0, 0.0]]), centroids)
@@ -168,7 +190,7 @@ def test_soft_assign_input_grad_matches_finite_differences():
     t = rng.random((6, 3))
     t /= t.sum(axis=1, keepdims=True)
     q = soft_assign(r, c)
-    analytic = soft_assign_input_grad(r, c, 2.0 * (q - t))
+    analytic = soft_assign_input_grad(r, c, _student_t(r, c), 2.0 * (q - t))
     h = 1e-6
     numeric = np.zeros_like(r)
     for i in range(r.shape[0]):

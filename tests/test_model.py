@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cemvc.clustering import soft_assign, soft_assign_input_grad
-from cemvc.numcore import adam_step, init_adam
+import cemvc.clustering as clustering_module
+from cemvc.clustering import soft_assign
+from cemvc.numcore import adam_step, forward, init_adam
 from cemvc.model import (
     TrainConfig,
     _StepBuffers,
@@ -16,8 +17,6 @@ from cemvc.model import (
     finetune_view,
     model_params,
     pretrain,
-    reconstruct,
-    reconstruction_loss,
     _loss_and_grads,
 )
 
@@ -43,6 +42,10 @@ def jittered_model(input_dim, hidden, latent, seed, scale=0.3):
         for layer in net.layers:
             layer.bias += scale * rng.standard_normal(layer.bias.shape)
     return m
+
+
+def reconstruction_loss(model, x):
+    return combined_loss(model, x, None, None, 0.0)
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -119,7 +122,7 @@ def test_encode_decode_round_trip_on_pretrained_model():
     x = rank2_data(seed=7)
     cfg = TrainConfig(pretrain_epochs=3000, learning_rate=0.01, seed=7)
     model = pretrain(x, hidden_dims=(), latent_dim=2, cfg=cfg)
-    recon = reconstruct(model, x)
+    recon = forward(model.decoder, forward(model.encoder, x))
     assert float(((recon - x) ** 2).sum()) / x.shape[0] <= 1e-3 * x.shape[1]
 
 
@@ -226,6 +229,46 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
 
 
+def test_combined_loss_checks_inputs_as_finetune_does():
+    model = jittered_model(4, (5,), 2, seed=13)
+    x = np.zeros((10, 4))
+    with pytest.raises(ValueError, match="rows"):
+        combined_loss(model, x, np.zeros((9, 3)), np.zeros((3, 2)), 0.5)
+    with pytest.raises(ValueError, match="centroids"):
+        combined_loss(model, x, np.zeros((10, 3)), np.zeros((4, 2)), 0.5)
+    with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
+        combined_loss(model, np.zeros((10, 5)), None, None, 0.0)
+    with pytest.raises(ValueError, match="target contains non-finite"):
+        combined_loss(model, x, np.full((10, 3), np.nan), np.zeros((3, 2)), 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_combined_loss_is_the_full_batch_step_loss(lam):
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9, 7), 3, seed=39)
+    step_loss, _ = _loss_and_grads(model, x, target, centroids, lam)
+    assert combined_loss(model, x.tolist(), target, centroids, lam) == step_loss
+
+
+@pytest.mark.parametrize("loss", ["step", "combined_loss"])
+def test_one_clustering_step_evaluates_the_kernel_once(loss, monkeypatch):
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9,), 3, seed=38)
+    real = clustering_module._squared_distances
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clustering_module, "_squared_distances", counting)
+    if loss == "step":
+        _loss_and_grads(model, x, target, centroids, 0.3)
+    else:
+        combined_loss(model, x, target, centroids, 0.3)
+    assert len(calls) == 1
+
+
 def test_non_finite_losses_name_the_epoch_step_and_view():
     # 1e200 cells overflow the squared reconstruction error on the first pass
     x = np.full((10, 4), 1e200)
@@ -297,19 +340,39 @@ def ref_backward(net, x, loss_grad):
     return grads, delta
 
 
+def ref_cluster_term(latent, centroids, target, n):
+    """sum ||q - target||^2 and the gradient in latent of that sum / n, written out.
+
+    q is the Student-t soft assignment; the distances expand as in
+    soft_assign, so the values match the step's bit for bit.
+    """
+    d2 = (
+        np.einsum("ij,ij->i", latent, latent)[:, None]
+        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        - 2.0 * (latent @ centroids.T)
+    )
+    s = 1.0 / (1.0 + np.maximum(d2, 0.0))
+    row_sum = s.sum(axis=1, keepdims=True)
+    q = s / row_sum
+    q_diff = q - target
+    g = 2.0 * q_diff / n
+    # through q = s / row_sum, then s = 1 / (1 + d2), then d2's two terms in latent
+    d_s = (g - (g * q).sum(axis=1, keepdims=True)) / row_sum
+    d_d2 = -np.square(s) * d_s
+    grad = 2.0 * (d_d2.sum(axis=1, keepdims=True) * latent - d_d2 @ centroids)
+    return float(np.einsum("ij,ij->", q_diff, q_diff)), grad
+
+
 def ref_loss_and_grads(model, x, target, centroids, lam):
     n = x.shape[0]
-    latent = encode(model, x)
-    diff = reconstruct(model, x) - x
+    latent = forward(model.encoder, x)
+    diff = forward(model.decoder, latent) - x
     loss = float(np.einsum("ij,ij->", diff, diff)) / n
     dec_grads, d_latent = ref_backward(model.decoder, latent, 2.0 * diff / n)
     if lam > 0:
-        q = soft_assign(latent, centroids)
-        q_diff = q - target
-        loss += lam * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
-        d_latent = d_latent + lam * soft_assign_input_grad(
-            latent, centroids, 2.0 * q_diff / n
-        )
+        cluster_sum, d_cluster = ref_cluster_term(latent, centroids, target, n)
+        loss += lam * cluster_sum / n
+        d_latent = d_latent + lam * d_cluster
     enc_grads, _ = ref_backward(model.encoder, x, d_latent)
     return loss, enc_grads + dec_grads
 

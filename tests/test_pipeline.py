@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cemvc.pipeline as pipeline_module
 from cemvc.data import MultiViewDataset, synth_multiview
@@ -202,34 +204,29 @@ def test_trace_weights_come_from_reported_nmis(tiny_noisy, mode, numerator):
         assert np.array_equal(trace.weights, numerator(trace.nmi_to_unified) + WEIGHT_FLOOR)
 
 
-def _degenerate(case: str) -> MultiViewDataset:
-    base = synth_multiview(60, 3, (5, 5), (7.0, 7.0), seed=7)
+def _degenerate_data(
+    seed=7, d1_view=False, constant_column=False, constant_view=False, repeats=1, n=60
+) -> MultiViewDataset:
+    """Two 5-d views of 60 three-class samples, made degenerate as asked.
+
+    The first view keeps only its first column, and/or has it set to a
+    constant; the second view becomes constant; each row is repeated
+    `repeats` times; and the first n rows are kept.
+    """
+    base = synth_multiview(60, 3, (5, 5), (7.0, 7.0), seed=seed)
     a, b = base.views
-    rows = slice(None)
-    if case == "d1_view":
+    if d1_view:
         a = a[:, :1]
-    elif case == "constant_column":
+    if constant_column:
         a = a.copy()
         a[:, 0] = 2.5
-    elif case == "constant_view":
+    if constant_view:
         b = np.full_like(b, 4.0)
-    elif case == "triplicated_rows":
-        rows = np.repeat(np.arange(20), 3)
-    elif case == "n_eq_k":
-        rows = slice(0, 3)
-    elif case == "n_eq_k_plus_1":
-        rows = slice(0, 4)
+    rows = np.repeat(np.arange(60 // repeats), repeats)[:n]
     return MultiViewDataset([a[rows], b[rows]], base.labels[rows])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("run", [run_cemvc, run_shared_baseline], ids=["cemvc", "shared"])
-@pytest.mark.parametrize(
-    "case",
-    ["d1_view", "constant_column", "constant_view", "triplicated_rows", "n_eq_k", "n_eq_k_plus_1"],
-)
-def test_degenerate_inputs_run_to_the_cap(case, run):
-    data = _degenerate(case)
+def _assert_runs_to_the_cap(data: MultiViewDataset, run) -> None:
     cfg = tiny_cfg(
         tolerance=0.0,
         max_outer_iters=3,
@@ -244,6 +241,42 @@ def test_degenerate_inputs_run_to_the_cap(case, run):
         assert np.isfinite(trace.weights).all()
 
 
+DEGENERATE_CASES = {
+    "d1_view": dict(d1_view=True),
+    "constant_column": dict(constant_column=True),
+    "constant_view": dict(constant_view=True),
+    "triplicated_rows": dict(repeats=3),
+    "n_eq_k": dict(n=3),
+    "n_eq_k_plus_1": dict(n=4),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", [run_cemvc, run_shared_baseline], ids=["cemvc", "shared"])
+@pytest.mark.parametrize("case", list(DEGENERATE_CASES))
+def test_degenerate_inputs_run_to_the_cap(case, run):
+    _assert_runs_to_the_cap(_degenerate_data(**DEGENERATE_CASES[case]), run)
+
+
+# Budget fixed before the first run: 20 derandomized examples, data seeds 0-99.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    seed=st.integers(min_value=0, max_value=99),
+    d1_view=st.booleans(),
+    constant_column=st.booleans(),
+    constant_view=st.booleans(),
+    repeats=st.integers(min_value=1, max_value=3),
+    n=st.sampled_from([3, 4, 60]),
+    shared=st.booleans(),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_degenerate_input_combinations_run_to_the_cap_property(
+    seed, d1_view, constant_column, constant_view, repeats, n, shared
+):
+    data = _degenerate_data(seed, d1_view, constant_column, constant_view, repeats, n)
+    _assert_runs_to_the_cap(data, run_shared_baseline if shared else run_cemvc)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="clusters"):
         PipelineConfig(n_clusters=1)
@@ -256,3 +289,24 @@ def test_config_validation():
     for hidden in ((0,), (-2,)):
         with pytest.raises(ValueError, match="hidden_dims"):
             PipelineConfig(n_clusters=3, hidden_dims=hidden)
+    for field, value in (
+        ("n_clusters", 3.0),
+        ("latent_dim", 2.5),
+        ("latent_dim", True),
+        ("max_outer_iters", 1.5),
+        ("kmeans_restarts", np.float64(8)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            PipelineConfig(**{"n_clusters": 3, field: value})
+    with pytest.raises(ValueError, match=r"^hidden_dims\[1\] must be an integer, got 8.5"):
+        PipelineConfig(n_clusters=3, hidden_dims=(8, 8.5))
+    for field, value in (
+        ("pretrain_epochs", 2.5),
+        ("finetune_steps_per_round", True),
+        ("batch_size", 16.0),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            TrainConfig(**{field: value})
+    # numpy integers are integers
+    PipelineConfig(n_clusters=np.int64(3), hidden_dims=(np.int32(4),))
+    TrainConfig(pretrain_epochs=np.int64(2), batch_size=np.uint8(16))
