@@ -44,7 +44,7 @@ from .pipeline import (
 _EMBED_FMT = "%.17g"
 
 _PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "train")
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -69,8 +69,6 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve_config(file_cfg: dict, seed_flag: int | None, n_clusters_hint: int | None) -> PipelineConfig:
     kwargs = {k: file_cfg[k] for k in _PIPELINE_KEYS if k in file_cfg}
-    if "hidden_dims" in kwargs:
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
     if seed_flag is not None:
         kwargs["seed"] = seed_flag
     if "n_clusters" not in kwargs:

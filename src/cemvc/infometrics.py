@@ -11,7 +11,6 @@ contingency counts. All values are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -24,66 +23,44 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_CELLS = 1 << 18  # 2 MiB of float64, about one L2; `_view_entropies` sizes its blocks from it
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    value: float
-    sample_count: int
-    bandwidths: np.ndarray
-
-
 def _floored_sigma(samples: np.ndarray) -> np.ndarray:
     return np.maximum(samples.std(axis=0, ddof=1), SIGMA_FLOOR)
 
 
 def _silverman(sigma: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Per-dimension bandwidth 1.06 * sigma * n^(-1/(4+d))."""
     return 1.06 * sigma * n ** (-1.0 / (4.0 + d))
-
-
-def silverman_bandwidths(samples: np.ndarray) -> np.ndarray:
-    """Per-dimension bandwidth 1.06 * sigma * n^(-1/(4+d)), sigma floored."""
-    n, d = samples.shape
-    return _silverman(_floored_sigma(samples), n, d)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-D array with finite row maxima, overwriting `a`.
 
-    The arithmetic is that of scipy.special.logsumexp (as of scipy 1.17),
-    bit for bit, without its copies: the m cells equal to a row's maximum
-    leave the sum s, and the result is log1p(s / m) + log(m) + max. Rows
-    whose maximum is tied take a slower path; m is 1 everywhere else.
+    One maximal cell per row leaves the sum s of exp(a - max), and the
+    result is log1p(s) + max. A cell tied with the maximum stays in s as
+    exp(0) = 1, which is exact, so ties need no separate path.
     """
     rows = np.arange(a.shape[0])
     first = a.argmax(axis=1)
     a_max = a[rows, first]
     a[rows, first] = -np.inf
-    m = np.ones(a.shape[0])
-    tied = a.max(axis=1) == a_max
-    if tied.any():
-        rest = a[tied]
-        hit = rest == a_max[tied, None]
-        m[tied] += np.count_nonzero(hit, axis=1)
-        rest[hit] = -np.inf
-        a[tied] = rest
     a -= a_max[:, None]
     np.exp(a, out=a)
-    return np.log1p(a.sum(axis=1) / m) + np.log(m) + a_max
+    return np.log1p(a.sum(axis=1)) + a_max
 
 
-def _estimate(log_sums: np.ndarray, h: np.ndarray) -> EntropyEstimate:
+def _entropy_from_log_sums(log_sums: np.ndarray, h: np.ndarray) -> float:
     n, d = log_sums.shape[0], h.shape[0]
     log_density = log_sums - np.log(n - 1) - np.log(h).sum() - 0.5 * d * _LOG_2PI
-    return EntropyEstimate(float(-log_density.mean()), n, h)
+    return float(-log_density.mean())
 
 
-def _view_entropies(
-    mats: Sequence[np.ndarray],
-) -> tuple[list[EntropyEstimate], dict[tuple[int, int], EntropyEstimate]]:
+def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out KDE entropy of each view and of each pair of views.
 
     `mats` are finite float64 (n, d_v) matrices with equal n. Returns the
-    marginal estimates in view order, and the joint estimate of the column
-    concatenation [view v, view u] keyed by (v, u) for every v < u.
+    (V,) marginal entropies in view order, and the symmetric (V, V) matrix
+    whose (v, u) entry is the joint entropy of the column concatenation
+    [view v, view u]; its diagonal is zero.
 
     The n x n kernel matrices are never formed. The rows are walked once,
     in blocks held by V + 2 buffers that every block reuses.
@@ -149,16 +126,16 @@ def _view_entropies(
             joint_sums[p, s:e] = _logsumexp_rows(joint)
         for v in range(n_views):
             marginal_sums[v, s:e] = _logsumexp_rows(blocks[v])
-    marginal = [_estimate(marginal_sums[v], hs[v]) for v in range(n_views)]
-    joint_estimates = {}
+    marginal = np.array([_entropy_from_log_sums(sums, h) for sums, h in zip(marginal_sums, hs)])
+    joint = np.zeros((n_views, n_views))
     for p, (v, u) in enumerate(pairs):
         d = dims[v] + dims[u]
         h = np.concatenate([_silverman(sigmas[v], n, d), _silverman(sigmas[u], n, d)])
-        joint_estimates[v, u] = _estimate(joint_sums[p], h)
-    return marginal, joint_estimates
+        joint[v, u] = joint[u, v] = _entropy_from_log_sums(joint_sums[p], h)
+    return marginal, joint
 
 
-def kde_entropy(samples) -> EntropyEstimate:
+def kde_entropy(samples) -> float:
     """Leave-one-out kernel-density entropy of an (n, d) sample matrix.
 
     Computed in row blocks (see `_view_entropies`), so memory is
@@ -166,8 +143,7 @@ def kde_entropy(samples) -> EntropyEstimate:
     estimator's, bit for bit where the block products allow.
     """
     x = as_matrix(samples, "samples")
-    marginal, _ = _view_entropies([x])
-    return marginal[0]
+    return float(_view_entropies([x])[0][0])
 
 
 def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
@@ -183,11 +159,7 @@ def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"views have differing row counts: {sorted(rows)}")
-    marginal_estimates, joint_estimates = _view_entropies(mats)
-    marginal = np.array([est.value for est in marginal_estimates])
-    joint = np.zeros((n_views, n_views))
-    for (v, u), est in joint_estimates.items():
-        joint[v, u] = joint[u, v] = est.value
+    marginal, joint = _view_entropies(mats)
     out = np.empty(n_views)
     for v in range(n_views):
         others = [u for u in range(n_views) if u != v]
@@ -215,16 +187,6 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     total = counts.sum()
     p = counts[counts > 0] / total
     return float(-(p * np.log(p)).sum())
-
-
-def label_entropy(labels, num_classes: int | None = None) -> float:
-    """Shannon entropy of the empirical label marginal, in nats."""
-    arr = _as_labels(labels, "labels")
-    k = int(arr.max()) + 1 if num_classes is None else int(num_classes)
-    if arr.max() >= k:
-        raise ValueError(f"label {arr.max()} out of range for {k} classes")
-    counts = np.bincount(arr, minlength=k)
-    return _entropy_from_counts(counts)
 
 
 def contingency_table(a, b, names: tuple[str, str] = ("a", "b")) -> np.ndarray:

@@ -17,6 +17,8 @@ ICML 2016); keeping the reconstruction term while finetuning follows IDEC
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,12 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Reject a config value that is not a finite real number; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     pretrain_epochs: int = 200
@@ -49,13 +57,14 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
     learning_rate: float = 1e-3
     clustering_weight: float = 0.1  # lambda in the combined loss
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_count("pretrain_epochs", self.pretrain_epochs)
         check_count("finetune_steps_per_round", self.finetune_steps_per_round)
         if self.batch_size is not None:
             check_count("batch_size", self.batch_size)
+        check_real("learning_rate", self.learning_rate)
+        check_real("clustering_weight", self.clustering_weight)
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.clustering_weight < 0:
@@ -228,12 +237,13 @@ def pretrain(
     hidden_dims,
     latent_dim: int,
     cfg: TrainConfig,
+    seed: int = 0,
     view_index: int = 0,
 ) -> ViewModel:
     """Train a fresh autoencoder on reconstruction alone."""
     x = as_matrix(view_data, "view data")
-    init_rng = np.random.default_rng((cfg.seed, 101, view_index))
-    batch_rng = np.random.default_rng((cfg.seed, 102, view_index))
+    init_rng = np.random.default_rng((seed, 101, view_index))
+    batch_rng = np.random.default_rng((seed, 102, view_index))
     model = build_view_model(x.shape[1], hidden_dims, latent_dim, view_index, init_rng)
     per_epoch = -(-x.shape[0] // (cfg.batch_size or x.shape[0]))  # batches, rounded up
     _train(
@@ -243,7 +253,7 @@ def pretrain(
     return model
 
 
-def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig) -> ViewModel:
+def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig, seed: int = 0) -> ViewModel:
     """Run finetune_steps_per_round combined-loss steps on this view only.
 
     Centroids stay frozen for the whole round. With clustering_weight == 0
@@ -251,7 +261,7 @@ def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig) -> V
     """
     lam = cfg.clustering_weight
     x, target, centroids = _checked_inputs(model, x, target, centroids, lam)
-    batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
+    batch_rng = np.random.default_rng((seed, 103, model.view_index))
     _train(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
         lambda step: f"finetuning loss at step {step}",

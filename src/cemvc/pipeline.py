@@ -20,7 +20,7 @@ from .clustering import hard_labels, kmeans, target_distribution, unified_soft_l
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
-from .model import TrainConfig, check_count, combined_loss, encode, finetune_view, pretrain
+from .model import TrainConfig, check_count, check_real, combined_loss, encode, finetune_view, pretrain
 from .weighting import WEIGHT_MODES, scale_representations, update_weights
 
 
@@ -40,10 +40,17 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         check_count("n_clusters", self.n_clusters, minimum=2)
         check_count("latent_dim", self.latent_dim)
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise ValueError(f"hidden_dims must be a list or tuple, got {self.hidden_dims!r}")
+        self.hidden_dims = tuple(self.hidden_dims)
         for i, width in enumerate(self.hidden_dims):
             check_count(f"hidden_dims[{i}]", width)
         check_count("max_outer_iters", self.max_outer_iters)
         check_count("kmeans_restarts", self.kmeans_restarts)
+        check_count("seed", self.seed, minimum=0)
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
+        check_real("tolerance", self.tolerance)
         if not 0.0 <= self.tolerance <= 1.0:
             raise ValueError("tolerance must lie in [0, 1]")
         if self.weighting_mode not in WEIGHT_MODES:
@@ -100,10 +107,9 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
     inputs = [np.hstack(views)] if shared else views
     n_views = data.n_views
     k = cfg.n_clusters
-    train_cfg = replace(cfg.train, seed=cfg.seed)
 
     models = [
-        pretrain(x, cfg.hidden_dims, cfg.latent_dim, train_cfg, view_index=v)
+        pretrain(x, cfg.hidden_dims, cfg.latent_dim, cfg.train, cfg.seed, view_index=v)
         for v, x in enumerate(inputs)
     ]
     weights = np.ones(len(inputs))
@@ -178,8 +184,8 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
 
         losses = np.empty(len(models))
         for v, (model, x, c) in enumerate(zip(models, inputs, centroids)):
-            finetune_view(model, x, target, c, train_cfg)
-            losses[v] = combined_loss(model, x, target, c, train_cfg.clustering_weight)
+            finetune_view(model, x, target, c, cfg.train, cfg.seed)
+            losses[v] = combined_loss(model, x, target, c, cfg.train.clustering_weight)
 
         # the shared net's weight and loss fill every view's slot
         traces.append(

@@ -231,15 +231,34 @@ def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
         ({"train": {"pretrain_epochs": 2.5}}, "pretrain_epochs"),
         ({"latent_dim": True}, "latent_dim"),
         ({"max_outer_iters": 1.5}, "max_outer_iters"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"hidden_dims": 8}, "hidden_dims"),
+        ({"train": {"learning_rate": "0.1"}}, "learning_rate"),
+        ({"train": {"clustering_weight": True}}, "clustering_weight"),
+        ({"train": {"clustering_weight": float("nan")}}, "clustering_weight"),
+        ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
+        ({"tolerance": None}, "tolerance"),
+        ({"standardize": "no"}, "standardize"),
     ],
 )
 def test_run_rejects_non_integer_counts_before_making_a_run_dir(
     dataset_dir, tmp_path, capsys, override, field
 ):
+    # the message names the field first; test_config_validation checks the
+    # rest of each message
     out = tmp_path / "runs"
     cfg = fast_config(tmp_path, **override)
     assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", cfg) == 1
-    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
+def test_run_rejects_a_negative_seed_flag_before_making_a_run_dir(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    args = ("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", fast_config(tmp_path))
+    assert run_cli(*args, "--seed", "-1") == 1
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
     assert not out.exists()
 
 

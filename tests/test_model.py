@@ -70,24 +70,24 @@ def test_pretrain_rank2_linear_autoencoder_reaches_pca_floor():
     # rank-2 data with a matching-width linear bottleneck is exactly
     # representable, so reconstruction error must become tiny
     x = rank2_data()
-    cfg = TrainConfig(pretrain_epochs=3000, learning_rate=0.01, seed=0)
-    model = pretrain(x, hidden_dims=(), latent_dim=2, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=3000, learning_rate=0.01)
+    model = pretrain(x, hidden_dims=(), latent_dim=2, cfg=cfg, seed=0)
     assert reconstruction_loss(model, x) <= 1e-3 * x.shape[1]
 
 
 def test_pretrain_full_width_linear_autoencoder_reaches_identity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((100, 4))
-    cfg = TrainConfig(pretrain_epochs=4000, learning_rate=0.01, seed=1)
-    model = pretrain(x, hidden_dims=(), latent_dim=4, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=4000, learning_rate=0.01)
+    model = pretrain(x, hidden_dims=(), latent_dim=4, cfg=cfg, seed=1)
     assert reconstruction_loss(model, x) <= 1e-4 * x.shape[1]
 
 
 def test_pretrain_loss_trend_mostly_nonincreasing():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((120, 6)) @ rng.standard_normal((6, 6))
-    cfg = TrainConfig(pretrain_epochs=1, learning_rate=3e-3, seed=2)
-    model = pretrain(x, hidden_dims=(16,), latent_dim=3, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=1, learning_rate=3e-3)
+    model = pretrain(x, hidden_dims=(16,), latent_dim=3, cfg=cfg, seed=2)
     losses = [reconstruction_loss(model, x)]
     for _ in range(60):
         model = finetune_view(
@@ -120,8 +120,8 @@ def test_encode_deterministic_and_finite():
 
 def test_encode_decode_round_trip_on_pretrained_model():
     x = rank2_data(seed=7)
-    cfg = TrainConfig(pretrain_epochs=3000, learning_rate=0.01, seed=7)
-    model = pretrain(x, hidden_dims=(), latent_dim=2, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=3000, learning_rate=0.01)
+    model = pretrain(x, hidden_dims=(), latent_dim=2, cfg=cfg, seed=7)
     recon = forward(model.decoder, forward(model.encoder, x))
     assert float(((recon - x) ** 2).sum()) / x.shape[0] <= 1e-3 * x.shape[1]
 
@@ -150,16 +150,14 @@ def test_combined_loss_gradients_match_finite_differences():
 def test_finetune_lambda_zero_matches_pure_reconstruction_trajectory():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 5))
-    cfg = TrainConfig(pretrain_epochs=30, learning_rate=2e-3, seed=8)
-    base = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=30, learning_rate=2e-3)
+    base = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg, seed=8)
     twin = copy.deepcopy(base)
 
-    steps_cfg = TrainConfig(
-        finetune_steps_per_round=25, clustering_weight=0.0, learning_rate=2e-3, seed=8
-    )
-    finetune_view(base, x, None, None, steps_cfg)
+    steps_cfg = TrainConfig(finetune_steps_per_round=25, clustering_weight=0.0, learning_rate=2e-3)
+    finetune_view(base, x, None, None, steps_cfg, seed=8)
     # same number of pure-reconstruction steps from identical parameters
-    finetune_view(twin, x, np.full((40, 3), np.nan), np.zeros((3, 2)), steps_cfg)
+    finetune_view(twin, x, np.full((40, 3), np.nan), np.zeros((3, 2)), steps_cfg, seed=8)
     assert param_checksum(base) == param_checksum(twin)
 
 
@@ -179,15 +177,13 @@ def test_finetune_reduces_combined_loss_most_rounds():
     centers = 6.0 * rng.standard_normal((3, 6))
     x = centers[labels] + rng.standard_normal((90, 6))
     x = (x - x.mean(0)) / x.std(0)
-    cfg = TrainConfig(pretrain_epochs=150, learning_rate=3e-3, seed=10)
-    model = pretrain(x, hidden_dims=(16,), latent_dim=3, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=150, learning_rate=3e-3)
+    model = pretrain(x, hidden_dims=(16,), latent_dim=3, cfg=cfg, seed=10)
     from cemvc.clustering import kmeans
 
     improved = 0
     rounds = 10
-    step_cfg = TrainConfig(
-        finetune_steps_per_round=30, clustering_weight=0.1, learning_rate=3e-3, seed=10
-    )
+    step_cfg = TrainConfig(finetune_steps_per_round=30, clustering_weight=0.1, learning_rate=3e-3)
     for _ in range(rounds):
         latent = encode(model, x)
         centroids, _ = kmeans(latent, 3, seed=11, n_init=4)
@@ -195,7 +191,7 @@ def test_finetune_reduces_combined_loss_most_rounds():
         target = q**2 / q.sum(0)
         target /= target.sum(1, keepdims=True)
         before = combined_loss(model, x, target, centroids, 0.1)
-        finetune_view(model, x, target, centroids, step_cfg)
+        finetune_view(model, x, target, centroids, step_cfg, seed=10)
         after = combined_loss(model, x, target, centroids, 0.1)
         improved += int(after <= before)
     assert improved / rounds >= 0.9
@@ -298,14 +294,12 @@ def test_train_config_validation():
 def test_minibatch_training_runs_and_is_deterministic():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((64, 5))
-    cfg = TrainConfig(pretrain_epochs=20, batch_size=16, learning_rate=2e-3, seed=15)
-    a = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg)
-    b = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg)
+    cfg = TrainConfig(pretrain_epochs=20, batch_size=16, learning_rate=2e-3)
+    a = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg, seed=15)
+    b = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg, seed=15)
     assert param_checksum(a) == param_checksum(b)
     # a different batch order changes the trajectory
-    c = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=TrainConfig(
-        pretrain_epochs=20, batch_size=16, learning_rate=2e-3, seed=16
-    ))
+    c = pretrain(x, hidden_dims=(6,), latent_dim=2, cfg=cfg, seed=16)
     assert param_checksum(a) != param_checksum(c)
     finetune_view(a, x, None, None, TrainConfig(
         finetune_steps_per_round=7, batch_size=16, clustering_weight=0.0
@@ -416,9 +410,9 @@ def net_vectors(model, layer_grads):
     return [np.concatenate([g.ravel() for g in part]) for part in parts]
 
 
-def ref_pretrain(x, hidden, latent_dim, cfg, view_index=0):
-    init_rng = np.random.default_rng((cfg.seed, 101, view_index))
-    batch_rng = np.random.default_rng((cfg.seed, 102, view_index))
+def ref_pretrain(x, hidden, latent_dim, cfg, seed, view_index=0):
+    init_rng = np.random.default_rng((seed, 101, view_index))
+    batch_rng = np.random.default_rng((seed, 102, view_index))
     model = build_view_model(x.shape[1], hidden, latent_dim, view_index, init_rng)
     params = layer_arrays(model)
     adam = RefAdam(params, cfg.learning_rate)
@@ -429,11 +423,11 @@ def ref_pretrain(x, hidden, latent_dim, cfg, view_index=0):
     return model
 
 
-def ref_finetune(model, x, target, centroids, cfg):
+def ref_finetune(model, x, target, centroids, cfg, seed):
     lam = cfg.clustering_weight
     params = layer_arrays(model)
     adam = RefAdam(params, cfg.learning_rate)
-    batch_rng = np.random.default_rng((cfg.seed, 103, model.view_index))
+    batch_rng = np.random.default_rng((seed, 103, model.view_index))
     steps = 0
     while steps < cfg.finetune_steps_per_round:
         for idx in ref_batches(x.shape[0], cfg.batch_size, batch_rng):
@@ -503,13 +497,12 @@ def test_pretrain_and_finetune_params_equal_reference(batch_size):
         batch_size=batch_size,
         learning_rate=3e-3,
         clustering_weight=0.2,
-        seed=36,
     )
-    model = pretrain(x, (9, 7), 3, cfg, view_index=1)
-    ref = ref_pretrain(x, (9, 7), 3, cfg, view_index=1)
+    model = pretrain(x, (9, 7), 3, cfg, seed=36, view_index=1)
+    ref = ref_pretrain(x, (9, 7), 3, cfg, seed=36, view_index=1)
     assert_bit_equal(model_params(model), model_params(ref))
-    finetune_view(model, x, target, centroids, cfg)
-    ref_finetune(ref, x, target, centroids, cfg)
+    finetune_view(model, x, target, centroids, cfg, seed=36)
+    ref_finetune(ref, x, target, centroids, cfg, seed=36)
     assert_bit_equal(model_params(model), model_params(ref))
 
 

@@ -117,12 +117,12 @@ def test_parameter_disjointness_through_full_run(tiny_data, monkeypatch):
             digest.update(p.tobytes())
         return digest.hexdigest()
 
-    def spying_finetune(model, x, target, centroids, cfg):
+    def spying_finetune(model, x, target, centroids, cfg, seed):
         models_seen[model.view_index] = model
         others = {
             v: checksum(m) for v, m in models_seen.items() if v != model.view_index
         }
-        out = real_finetune(model, x, target, centroids, cfg)
+        out = real_finetune(model, x, target, centroids, cfg, seed)
         for v, before in others.items():
             assert checksum(models_seen[v]) == before, (
                 f"finetuning view {model.view_index} moved view {v}'s parameters"
@@ -307,6 +307,25 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
             TrainConfig(**{field: value})
-    # numpy integers are integers
-    PipelineConfig(n_clusters=np.int64(3), hidden_dims=(np.int32(4),))
-    TrainConfig(pretrain_epochs=np.int64(2), batch_size=np.uint8(16))
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5"):
+        PipelineConfig(n_clusters=3, seed=1.5)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1"):
+        PipelineConfig(n_clusters=3, seed=-1)
+    with pytest.raises(ValueError, match=r"^hidden_dims must be a list or tuple, got 8"):
+        PipelineConfig(n_clusters=3, hidden_dims=8)
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match=r"^standardize must be a bool, got"):
+            PipelineConfig(n_clusters=3, standardize=value)
+    for value in (None, "0.1", True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^tolerance must be a finite real number, got"):
+            PipelineConfig(n_clusters=3, tolerance=value)
+        for field in ("learning_rate", "clustering_weight"):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got"):
+                TrainConfig(**{field: value})
+    # numpy integers are integers, numpy floats and ints are real numbers,
+    # and a hidden_dims list becomes a tuple
+    cfg = PipelineConfig(n_clusters=np.int64(3), hidden_dims=[np.int32(4)], seed=np.int64(0))
+    assert cfg.hidden_dims == (4,)
+    PipelineConfig(n_clusters=3, tolerance=0, standardize=False)
+    TrainConfig(pretrain_epochs=np.int64(2), batch_size=np.uint8(16), learning_rate=np.float32(0.01))
+    TrainConfig(clustering_weight=0)
