@@ -386,19 +386,32 @@ def test_input_checks_run_before_any_bandwidth(call, message):
             call()
 
 
+# I(x; x) = H(x), the Shannon entropy of the label marginal, so the label
+# entropy is checked through mutual_information of a labeling with itself.
+def label_entropy(labels) -> float:
+    return mutual_information(labels, labels)
+
+
+def test_label_entropy_uniform_is_log_k():
+    labels = np.repeat(np.arange(5), 20)
+    assert label_entropy(labels) == pytest.approx(np.log(5), rel=1e-12)
+
+
+def test_label_entropy_single_class_is_zero():
+    assert label_entropy(np.zeros(10, dtype=int)) == 0.0
+
+
+def test_label_entropy_hand_case():
+    # -(2/3) ln(2/3) - (1/3) ln(1/3)
+    expected = -(2 / 3) * np.log(2 / 3) - (1 / 3) * np.log(1 / 3)
+    assert label_entropy([0, 0, 1]) == pytest.approx(expected, rel=1e-12)
+    assert label_entropy([0, 0, 1]) == pytest.approx(0.6365, abs=5e-5)
+
+
 def test_mutual_information_self_equals_entropy():
-    # I(x; x) = H(x), the Shannon entropy of the label marginal
-    cases = {
-        "uniform_is_log_k": (np.repeat(np.arange(5), 20), np.log(5)),
-        "single_class_is_zero": (np.zeros(10, dtype=int), 0.0),
-        # -(2/3) ln(2/3) - (1/3) ln(1/3) = 0.6365
-        "hand_case": ([0, 0, 1], -(2 / 3) * np.log(2 / 3) - (1 / 3) * np.log(1 / 3)),
-        # class shares 1/4, 1/2, 1/4
-        "three_classes": ([0, 1, 2, 0, 1, 2, 1, 1], 1.5 * np.log(2)),
-    }
-    for name, (labels, entropy) in cases.items():
-        assert mutual_information(labels, labels) == pytest.approx(entropy, rel=1e-12, abs=0), name
-    assert mutual_information([0, 0, 1], [0, 0, 1]) == pytest.approx(0.6365, abs=5e-5)
+    # class shares 1/4, 1/2, 1/4
+    labels = [0, 1, 2, 0, 1, 2, 1, 1]
+    assert label_entropy(labels) == pytest.approx(1.5 * np.log(2), rel=1e-12, abs=0)
 
 
 def test_mutual_information_rejects_empty():
