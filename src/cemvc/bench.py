@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import MultiViewDataset, synth_multiview
+from .model import check_count
 from .pipeline import ClusteringResult, PipelineConfig, run_cemvc, run_shared_baseline
 from .weighting import WEIGHT_MODES
 
@@ -66,24 +67,21 @@ def run_variant(
     return run_cemvc(data, replace(cfg, weighting_mode=method))
 
 
-def summarize(
-    preset: BenchPreset, n_seeds: int, seed0: int = 0
-) -> list[dict[str, float | str]]:
+def summarize(preset: BenchPreset, n_seeds: int) -> list[dict[str, float | str]]:
     """Mean/std ACC and NMI per method and variant, plus noisy-clean deltas.
 
     Rows follow METHODS, clean before noisy. Delta columns are noisy mean
     minus clean mean, so a negative delta is a degradation under the
     preset's noise views.
     """
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
+    check_count("n_seeds", n_seeds)
     rows = []
     for method in METHODS:
         scores = {}
         for variant in ("clean", "noisy"):
             metrics = [
                 run_variant(preset, method, variant == "noisy", s).metrics
-                for s in range(seed0, seed0 + n_seeds)
+                for s in range(n_seeds)
             ]
             scores[variant] = {"acc": [m.acc for m in metrics], "nmi": [m.nmi for m in metrics]}
         clean = scores["clean"]
@@ -102,24 +100,9 @@ def summarize(
     return rows
 
 
-BENCH_COLUMNS = [
-    "method",
-    "variant",
-    "acc_mean",
-    "acc_std",
-    "nmi_mean",
-    "nmi_std",
-    "acc_delta_vs_clean",
-    "nmi_delta_vs_clean",
-]
-
-
 def rows_to_csv(rows: list[dict[str, float | str]]) -> str:
-    lines = [",".join(BENCH_COLUMNS)]
+    """CSV text of `summarize` rows, headed by their keys; numbers get 6 decimals."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        cells = []
-        for col in BENCH_COLUMNS:
-            value = row[col]
-            cells.append(value if isinstance(value, str) else format(value, ".6f"))
-        lines.append(",".join(cells))
+        lines.append(",".join(v if isinstance(v, str) else format(v, ".6f") for v in row.values()))
     return "\n".join(lines) + "\n"

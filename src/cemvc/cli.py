@@ -6,17 +6,15 @@ Subcommands:
     bench  seeded grid on a preset, as one CSV: every weighting mode of
            cemvc and the shared baseline, each on clean and noisy data
 
-Every run writes into a fresh timestamped directory under --out and never
-overwrites earlier output. Report contents carry no timestamps, so reruns
-with identical inputs and seed are byte-identical.
+Every run writes into a fresh timestamped directory under --out, made only
+once the fits have finished, and never overwrites earlier output. Report
+contents carry no timestamps, so reruns with identical inputs and seed are
+byte-identical.
 
 Config files are JSON; flags override file values, file values override
-defaults. Recognised keys (all optional):
-
-    n_clusters, latent_dim, hidden_dims, max_outer_iters, tolerance,
-    weighting_mode, standardize, kmeans_restarts, seed,
-    train: {pretrain_epochs, finetune_steps_per_round, batch_size,
-            learning_rate, clustering_weight}
+defaults. The keys are the fields of `PipelineConfig`, with those of
+`TrainConfig` under "train"; README's "Config file" block lists them with
+their defaults, and a report's "config" block is the resolved config.
 """
 
 from __future__ import annotations
@@ -25,23 +23,22 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bench import PRESETS, rows_to_csv, summarize
-from .data import load_multiview, save_multiview, synth_multiview
+from .data import load_multiview, save_multiview, synth_multiview, write_csv
 from .model import TrainConfig
 from .pipeline import (
     ClusteringResult,
     PipelineConfig,
+    RoundTrace,
     run_ablation,
     run_cemvc,
     run_shared_baseline,
 )
-
-_EMBED_FMT = "%.17g"
 
 _PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "train")
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
@@ -82,47 +79,25 @@ def _resolve_config(file_cfg: dict, seed_flag: int | None, n_clusters_hint: int 
     return PipelineConfig(**kwargs)
 
 
-def _config_as_dict(cfg: PipelineConfig, mode: str) -> dict:
-    return {
-        "n_clusters": cfg.n_clusters,
-        "latent_dim": cfg.latent_dim,
-        "hidden_dims": list(cfg.hidden_dims),
-        "max_outer_iters": cfg.max_outer_iters,
-        "tolerance": cfg.tolerance,
-        "weighting_mode": cfg.weighting_mode,
-        "decoupled": mode != "shared",
-        "standardize": cfg.standardize,
-        "kmeans_restarts": cfg.kmeans_restarts,
-        "seed": cfg.seed,
-        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
-    }
-
-
-def _nan_to_none(values) -> list:
-    return [None if np.isnan(v) else float(v) for v in np.asarray(values, dtype=float)]
+def _jsonable(value):
+    """A trace value for JSON: an array becomes a list of floats, nan as null."""
+    if isinstance(value, np.ndarray):
+        return [None if np.isnan(v) else v for v in value.astype(float).tolist()]
+    return value
 
 
 def _result_block(result: ClusteringResult, embedding_file: str) -> dict:
-    block = {
+    metrics = result.metrics
+    return {
         "mode": result.mode,
-        "metrics": None,
+        "metrics": None if metrics is None else {"acc": metrics.acc, "nmi": metrics.nmi},
         "rounds": [
-            {
-                "iteration": tr.iteration,
-                "weights": [float(w) for w in tr.weights],
-                "cond_entropies": _nan_to_none(tr.cond_entropies),
-                "nmi_to_unified": _nan_to_none(tr.nmi_to_unified),
-                "losses": [float(x) for x in tr.losses],
-                "label_change_fraction": tr.label_change_fraction,
-            }
+            {f.name: _jsonable(getattr(tr, f.name)) for f in fields(RoundTrace)}
             for tr in result.traces
         ],
-        "labels": [int(x) for x in result.labels],
+        "labels": result.labels.tolist(),
         "embedding_file": embedding_file,
     }
-    if result.metrics is not None:
-        block["metrics"] = {"acc": result.metrics.acc, "nmi": result.metrics.nmi}
-    return block
 
 
 def _new_run_dir(out_root: Path, prefix: str) -> Path:
@@ -160,9 +135,20 @@ def _cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
     hint = int(data.labels.max()) + 1 if data.labels is not None else None
     cfg = _resolve_config(file_cfg, args.seed, hint)
-    run_dir = _new_run_dir(Path(args.out), f"run-{args.mode}")
+    ablation = args.mode == "ablation"
+    if ablation:
+        results = run_ablation(data, cfg)
+    else:
+        run = run_shared_baseline if args.mode == "shared" else run_cemvc
+        results = {args.mode: run(data, cfg)}
 
-    report: dict = {
+    run_dir = _new_run_dir(Path(args.out), f"run-{args.mode}")
+    blocks = {}
+    for mode, result in results.items():
+        fname = f"embedding-{mode}.csv" if ablation else "embedding.csv"
+        write_csv(run_dir / fname, result.embedding)
+        blocks[mode] = _result_block(result, fname)
+    report = {
         "mode": args.mode,
         "dataset": {
             "name": data.name,
@@ -171,21 +157,12 @@ def _cmd_run(args) -> int:
             "dims": data.dims,
             "has_labels": data.labels is not None,
         },
-        "config": _config_as_dict(cfg, args.mode),
+        "config": asdict(cfg),
     }
-    if args.mode in ("cemvc", "shared"):
-        run = run_shared_baseline if args.mode == "shared" else run_cemvc
-        result = run(data, cfg)
-        np.savetxt(run_dir / "embedding.csv", result.embedding, delimiter=",", fmt=_EMBED_FMT)
-        report["result"] = _result_block(result, "embedding.csv")
-    else:  # ablation
-        results = run_ablation(data, cfg)
-        report["results"] = {}
-        for mode, result in results.items():
-            fname = f"embedding-{mode}.csv"
-            np.savetxt(run_dir / fname, result.embedding, delimiter=",", fmt=_EMBED_FMT)
-            report["results"][mode] = _result_block(result, fname)
-
+    if ablation:
+        report["results"] = blocks
+    else:
+        report["result"] = blocks[args.mode]
     report_path = run_dir / "report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -195,8 +172,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
     preset = PRESETS[args.preset]
     rows = summarize(preset, args.seeds)
     run_dir = _new_run_dir(Path(args.out), f"bench-{args.preset}")

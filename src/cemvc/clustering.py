@@ -153,15 +153,3 @@ def target_distribution(q) -> np.ndarray:
     weighted[:, populated] = np.square(q[:, populated]) / freq[populated]
     return weighted / weighted.sum(axis=1, keepdims=True)
 
-
-def unified_soft_labels(
-    fused, k: int, seed=0, init: np.ndarray | None = None, n_init: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster the fused matrix and soft-assign against the centroids."""
-    centroids, _ = kmeans(fused, k, seed=seed, init=init, n_init=n_init)
-    return soft_assign(fused, centroids), centroids
-
-
-def hard_labels(soft: np.ndarray) -> np.ndarray:
-    """Row argmax with lowest-index tie breaking."""
-    return np.argmax(soft, axis=1)

@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-_CSV_FLOAT_FMT = "%.17g"  # enough digits to round-trip float64 exactly
-
 
 @dataclass
 class MultiViewDataset:
@@ -226,6 +224,11 @@ def load_multiview(manifest_path) -> MultiViewDataset:
     return MultiViewDataset(views, labels, name=manifest.get("name", "dataset"))
 
 
+def write_csv(path, mat) -> None:
+    """Write a headerless float CSV with enough digits to round-trip float64 exactly."""
+    np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+
+
 def save_multiview(data: MultiViewDataset, out_dir) -> Path:
     """Write view CSVs, optional labels, and the manifest; returns its path."""
     out_dir = Path(out_dir)
@@ -233,7 +236,7 @@ def save_multiview(data: MultiViewDataset, out_dir) -> Path:
     view_files = []
     for v, mat in enumerate(data.views):
         fname = f"view_{v}.csv"
-        np.savetxt(out_dir / fname, mat, delimiter=",", fmt=_CSV_FLOAT_FMT)
+        write_csv(out_dir / fname, mat)
         view_files.append(fname)
     manifest = {"name": data.name, "views": view_files, "labels": None}
     if data.labels is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import hard_labels, kmeans, target_distribution, unified_soft_labels
+from .clustering import kmeans, soft_assign, target_distribution
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
@@ -34,8 +34,8 @@ class PipelineConfig:
     weighting_mode: str = "enmi_ce"
     standardize: bool = True
     kmeans_restarts: int = 8  # seedings for each fresh (non-warm-start) k-means
-    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
         check_count("n_clusters", self.n_clusters, minimum=2)
@@ -139,14 +139,11 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
         else:
             init = None
         prev_fusion = fusion
-        unified_soft, unified_centroids_new = unified_soft_labels(
-            fused,
-            k,
-            seed=(cfg.seed, 3, t),
-            init=init,
-            n_init=cfg.kmeans_restarts,
+        unified_centroids, labels = kmeans(
+            fused, k, seed=(cfg.seed, 3, t), init=init, n_init=cfg.kmeans_restarts
         )
-        labels = hard_labels(unified_soft)
+        # each label is its row's nearest centroid, so the argmax of its soft labels
+        unified_soft = soft_assign(fused, unified_centroids)
         change = 1.0 if prev_labels is None else float(np.mean(labels != prev_labels))
         converged = prev_labels is not None and change < cfg.tolerance
         if converged or t >= cfg.max_outer_iters:
@@ -154,7 +151,6 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
             mode = "shared" if shared else cfg.weighting_mode
             return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode)
         prev_labels = labels
-        unified_centroids = unified_centroids_new
 
         if shared:
             # the fused matrix is the one net's latent, so the net trains

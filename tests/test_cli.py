@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from cemvc.bench import PRESETS, preset_dataset
 from cemvc.cli import main
 from cemvc.data import load_multiview, save_multiview
+from cemvc.pipeline import PipelineConfig, RoundTrace
 
 
 def run_cli(*args):
@@ -83,6 +85,15 @@ def test_readme_synth_example_writes_noisy3view_seed_0(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
 
 
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    expected = json.loads(json.dumps(asdict(PipelineConfig(n_clusters=3))))
+    # dumped again, so key order counts as well as values
+    assert json.dumps(json.loads(block)) == json.dumps(expected)
+
+
 def test_synth_rejects_negative_noise_views(tmp_path, capsys):
     out = tmp_path / "ds"
     assert run_cli("synth", "--out", out, "--n", 40, "--noise-views", -1) == 1
@@ -110,6 +121,9 @@ def test_run_cemvc_writes_report_and_embedding(dataset_dir, tmp_path):
     assert report["mode"] == "cemvc"
     assert report["result"]["metrics"]["acc"] >= 0.9
     assert len(report["result"]["rounds"]) >= 1
+    # each round is its RoundTrace, field for field
+    for rnd in report["result"]["rounds"]:
+        assert list(rnd) == [f.name for f in fields(RoundTrace)]
     # fully resolved config is embedded
     assert report["config"]["train"]["pretrain_epochs"] == 30
     assert report["config"]["tolerance"] == 0.001
@@ -262,8 +276,19 @@ def test_run_rejects_a_negative_seed_flag_before_making_a_run_dir(dataset_dir, t
     assert not out.exists()
 
 
+def test_run_with_more_clusters_than_rows_makes_no_run_dir(dataset_dir, tmp_path, capsys):
+    # the data is checked against the config inside the fit, which runs
+    # before the run directory is made
+    out = tmp_path / "runs"
+    cfg = fast_config(tmp_path, n_clusters=200)
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "200" in err and "90" in err
+    assert not out.exists()
+
+
 def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
-    # the keys listed in the cli module docstring, each set away from its default
+    # every PipelineConfig and TrainConfig field, each set away from its default
     documented = {
         "n_clusters": 3,
         "latent_dim": 3,
@@ -287,7 +312,6 @@ def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
     out = tmp_path / "runs"
     assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", path) == 0
     config = json.loads((only_run_dir(out) / "report.json").read_text())["config"]
-    assert config.pop("decoupled") is True
     assert config == documented
 
 
@@ -300,7 +324,6 @@ def test_bench_writes_eight_row_summary(tmp_path, monkeypatch):
     import cemvc.cli as cli_module
     from cemvc.bench import BenchPreset
     from cemvc.model import TrainConfig
-    from cemvc.pipeline import PipelineConfig
 
     tiny = BenchPreset(
         name="noisy3view",

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 import cemvc.clustering as clustering_module
 from cemvc.clustering import (
     _student_t,
-    hard_labels,
     inertia,
     kmeans,
     soft_assign,
     soft_assign_input_grad,
     target_distribution,
-    unified_soft_labels,
 )
 from cemvc.metrics import clustering_accuracy
 
@@ -236,13 +234,23 @@ def test_target_distribution_empty_cluster_column_zeroed():
     assert p[:, 0] == pytest.approx(np.ones(2))
 
 
+def unified_soft_labels(fused, k, seed, n_init=1):
+    """The pipeline's unified clustering: k-means labels, and soft labels
+    against its centroids whose argmax they must equal."""
+    centroids, labels = kmeans(fused, k, seed=seed, n_init=n_init)
+    soft = soft_assign(fused, centroids)
+    assert np.array_equal(labels, soft.argmax(axis=1))
+    return labels, soft, centroids
+
+
 def test_unified_soft_labels_separated_clusters_perfect():
     rng = np.random.default_rng(16)
     labels = np.arange(90) % 3
     centers = np.array([[0.0, 0.0], [25.0, 0.0], [0.0, 25.0]])
     fused = centers[labels] + rng.standard_normal((90, 2))
-    soft, centroids = unified_soft_labels(fused, 3, seed=1, n_init=4)
-    assert clustering_accuracy(hard_labels(soft), labels) == 1.0
+    hard, soft, centroids = unified_soft_labels(fused, 3, seed=1, n_init=4)
+    assert clustering_accuracy(hard, labels) == 1.0
+    assert soft.shape == (90, 3)
     assert centroids.shape == (3, 2)
 
 
@@ -251,13 +259,13 @@ def test_unified_soft_labels_uniform_weight_scaling_preserves_partition():
     labels = np.arange(60) % 3
     centers = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
     fused = centers[labels] + rng.standard_normal((60, 2))
-    soft_a, _ = unified_soft_labels(fused, 3, seed=5)
-    soft_b, _ = unified_soft_labels(3.0 * fused, 3, seed=5)
-    assert np.array_equal(hard_labels(soft_a), hard_labels(soft_b))
+    hard_a, _, _ = unified_soft_labels(fused, 3, seed=5)
+    hard_b, _, _ = unified_soft_labels(3.0 * fused, 3, seed=5)
+    assert np.array_equal(hard_a, hard_b)
 
 
 def test_unified_soft_labels_k_equals_n():
     rng = np.random.default_rng(18)
     x = rng.standard_normal((5, 2)) * 10
-    soft, _ = unified_soft_labels(x, 5, seed=2)
-    assert sorted(hard_labels(soft).tolist()) == [0, 1, 2, 3, 4]
+    hard, _, _ = unified_soft_labels(x, 5, seed=2)
+    assert sorted(hard.tolist()) == [0, 1, 2, 3, 4]
