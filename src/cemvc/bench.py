@@ -11,16 +11,20 @@ too; the noisy rows are the weighting-mode ablation.
 
 from __future__ import annotations
 
+import copy
+import time
 from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .data import MultiViewDataset, synth_multiview
 from .model import check_count
-from .pipeline import ClusteringResult, PipelineConfig, run_cemvc, run_shared_baseline
+from .pipeline import ClusteringResult, PipelineConfig, outer_loop, pretrain_inputs, run_shared_baseline
 from .weighting import WEIGHT_MODES
 
 METHODS = (*WEIGHT_MODES, "shared")
+VARIANTS = ("clean", "noisy")
 
 
 @dataclass(frozen=True)
@@ -53,50 +57,60 @@ def preset_dataset(preset: BenchPreset, seed: int, noisy: bool) -> MultiViewData
     )
 
 
-def run_variant(
-    preset: BenchPreset, method: str, noisy: bool, seed: int
-) -> ClusteringResult:
-    """One seeded fit: `method` is a weighting mode of the decoupled run, or
-    "shared" for the baseline."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    data = preset_dataset(preset, seed, noisy)
-    cfg = replace(preset.pipeline, seed=seed)
-    if method == "shared":
-        return run_shared_baseline(data, cfg)
-    return run_cemvc(data, replace(cfg, weighting_mode=method))
+class Fit(NamedTuple):
+    method: str
+    variant: str
+    seed: int
+    result: ClusteringResult
+    seconds: float  # the fit's outer loop plus the pretraining it was handed
+
+
+def grid(preset: BenchPreset, n_seeds: int) -> Iterator[Fit]:
+    """Every seeded fit, per seed clean before noisy, each in METHODS order. On one
+    dataset the weighting modes share one pretraining, each finetuning its own copy."""
+    check_count("n_seeds", n_seeds)
+    for seed in range(n_seeds):
+        cfg = replace(preset.pipeline, seed=seed)
+        for variant in VARIANTS:
+            data = preset_dataset(preset, seed, variant == "noisy")
+            start = time.perf_counter()
+            inputs, models = pretrain_inputs(data, cfg)
+            pretrain_s = time.perf_counter() - start
+            for mode in WEIGHT_MODES:
+                start = time.perf_counter()
+                result = outer_loop(data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models))
+                yield Fit(mode, variant, seed, result, pretrain_s + time.perf_counter() - start)
+            start = time.perf_counter()
+            result = run_shared_baseline(data, cfg)
+            yield Fit("shared", variant, seed, result, time.perf_counter() - start)
 
 
 def summarize(preset: BenchPreset, n_seeds: int) -> list[dict[str, float | str]]:
-    """Mean/std ACC and NMI per method and variant, plus noisy-clean deltas.
+    """Mean/std ACC and NMI per method and variant of `grid`, plus noisy-clean deltas.
 
     Rows follow METHODS, clean before noisy. Delta columns are noisy mean
     minus clean mean, so a negative delta is a degradation under the
     preset's noise views.
     """
-    check_count("n_seeds", n_seeds)
-    rows = []
+    metrics: dict[tuple[str, str], list] = {}
+    for fit in grid(preset, n_seeds):
+        metrics.setdefault((fit.method, fit.variant), []).append(fit.result.metrics)
+    rows: list[dict[str, float | str]] = []
     for method in METHODS:
-        scores = {}
-        for variant in ("clean", "noisy"):
-            metrics = [
-                run_variant(preset, method, variant == "noisy", s).metrics
-                for s in range(n_seeds)
-            ]
-            scores[variant] = {"acc": [m.acc for m in metrics], "nmi": [m.nmi for m in metrics]}
-        clean = scores["clean"]
-        for variant, cell in scores.items():
-            row: dict[str, float | str] = {
+        clean = metrics[method, "clean"]
+        for variant in VARIANTS:
+            acc = [m.acc for m in metrics[method, variant]]
+            nmi = [m.nmi for m in metrics[method, variant]]
+            rows.append({
                 "method": method,
                 "variant": variant,
-                "acc_mean": float(np.mean(cell["acc"])),
-                "acc_std": float(np.std(cell["acc"])),
-                "nmi_mean": float(np.mean(cell["nmi"])),
-                "nmi_std": float(np.std(cell["nmi"])),
-                "acc_delta_vs_clean": float(np.mean(cell["acc"]) - np.mean(clean["acc"])),
-                "nmi_delta_vs_clean": float(np.mean(cell["nmi"]) - np.mean(clean["nmi"])),
-            }
-            rows.append(row)
+                "acc_mean": float(np.mean(acc)),
+                "acc_std": float(np.std(acc)),
+                "nmi_mean": float(np.mean(nmi)),
+                "nmi_std": float(np.std(nmi)),
+                "acc_delta_vs_clean": float(np.mean(acc) - np.mean([m.acc for m in clean])),
+                "nmi_delta_vs_clean": float(np.mean(nmi) - np.mean([m.nmi for m in clean])),
+            })
     return rows
 
 

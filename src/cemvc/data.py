@@ -190,10 +190,15 @@ def load_multiview(manifest_path) -> MultiViewDataset:
         raise FileNotFoundError(f"missing manifest: {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     base = manifest_path.parent
     view_paths = manifest.get("views")
-    if not view_paths:
-        raise ValueError(f"{manifest_path}: manifest lists no views")
+    if not isinstance(view_paths, list) or not view_paths or not all(isinstance(p, str) for p in view_paths):
+        raise ValueError(f'{manifest_path}: "views" must be a non-empty list of file names, got {view_paths!r}')
+    label_file = manifest.get("labels")
+    if label_file is not None and not isinstance(label_file, str):
+        raise ValueError(f'{manifest_path}: "labels" must be null or a file name, got {label_file!r}')
     views = [_read_numeric_csv(base / p) for p in view_paths]
     counts = {v.shape[0] for v in views}
     if len(counts) != 1:
@@ -202,8 +207,8 @@ def load_multiview(manifest_path) -> MultiViewDataset:
         )
         raise ValueError(f"view row counts disagree ({detail})")
     labels = None
-    if manifest.get("labels"):
-        label_path = base / manifest["labels"]
+    if label_file:
+        label_path = base / label_file
         label_mat = _read_numeric_csv(label_path)
         if label_mat.shape[1] != 1:
             raise ValueError(

@@ -12,6 +12,7 @@ shared baseline runs the same loop over one net with no scoring step.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .clustering import kmeans, soft_assign, target_distribution
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
-from .model import TrainConfig, check_count, check_real, combined_loss, encode, finetune_view, pretrain
+from .model import TrainConfig, ViewModel, check_count, check_real, combined_loss, encode, finetune_view, pretrain
 from .weighting import WEIGHT_MODES, scale_representations, update_weights
 
 
@@ -86,14 +87,9 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sigma
 
 
-def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> ClusteringResult:
-    """The outer loop of both methods.
-
-    The decoupled run trains one net per view and reweights the views every
-    round. The shared baseline is the same loop over one net on the
-    concatenated views: its single weight stays 1, so fusion is a copy of
-    its latent, and nothing is scored.
-    """
+def pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
+    """Check the data; return the views as the nets see them (concatenated if `shared`)
+    and a net pretrained on each, which depends only on its input, the config and the seed."""
     if data.n_views < 2:
         raise ValueError(f"need at least 2 views, got {data.n_views}")
     if data.n_samples < cfg.n_clusters:
@@ -105,13 +101,25 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
     else:
         views = [np.asarray(v, dtype=np.float64) for v in data.views]
     inputs = [np.hstack(views)] if shared else views
-    n_views = data.n_views
-    k = cfg.n_clusters
-
-    models = [
+    return inputs, [
         pretrain(x, cfg.hidden_dims, cfg.latent_dim, cfg.train, cfg.seed, view_index=v)
         for v, x in enumerate(inputs)
     ]
+
+
+def outer_loop(
+    data: MultiViewDataset, cfg: PipelineConfig, inputs: list[np.ndarray],
+    models: list[ViewModel], shared: bool = False,
+) -> ClusteringResult:
+    """The outer loop of both methods, finetuning `models` in place.
+
+    The decoupled run trains one net per view and reweights the views every
+    round. The shared baseline is the same loop over one net on the
+    concatenated views: its single weight stays 1, so fusion is a copy of
+    its latent, and nothing is scored.
+    """
+    n_views = data.n_views
+    k = cfg.n_clusters
     weights = np.ones(len(inputs))
 
     traces: list[RoundTrace] = []
@@ -199,7 +207,7 @@ def _run(data: MultiViewDataset, cfg: PipelineConfig, shared: bool) -> Clusterin
 
 def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
     """Full parameter-decoupled run with adaptive view weighting."""
-    return _run(data, cfg, shared=False)
+    return outer_loop(data, cfg, *pretrain_inputs(data, cfg))
 
 
 def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
@@ -210,14 +218,15 @@ def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> Clusteri
     per-view shape: weights are all 1, entropy/agreement slots are nan, and
     the shared combined loss is replicated across views.
     """
-    return _run(data, cfg, shared=True)
+    return outer_loop(data, cfg, *pretrain_inputs(data, cfg, shared=True), shared=True)
 
 
 def run_ablation(
     data: MultiViewDataset, cfg: PipelineConfig
 ) -> dict[str, ClusteringResult]:
-    """Run the decoupled pipeline once per weighting mode, shared seed."""
-    results = {}
-    for mode in WEIGHT_MODES:
-        results[mode] = run_cemvc(data, replace(cfg, weighting_mode=mode))
-    return results
+    """The decoupled run once per weighting mode, each finetuning a copy of one pretraining."""
+    inputs, models = pretrain_inputs(data, cfg)
+    return {
+        mode: outer_loop(data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models))
+        for mode in WEIGHT_MODES
+    }

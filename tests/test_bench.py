@@ -1,22 +1,22 @@
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cemvc.bench import (
+    METHODS,
     BenchPreset,
     PRESETS,
+    grid,
     preset_dataset,
     rows_to_csv,
-    run_variant,
     summarize,
 )
 from cemvc.model import TrainConfig
-from cemvc.pipeline import PipelineConfig, run_ablation
-from cemvc.weighting import WEIGHT_MODES
+from cemvc.pipeline import PipelineConfig, RoundTrace, run_cemvc, run_shared_baseline
 
 
 def tiny_preset():
@@ -63,19 +63,34 @@ def test_benchmark_inputs_match_the_preset():
     assert " 0 differences" in done.stdout
 
 
-def test_run_variant_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method 'mystery', expected one of"):
-        run_variant(tiny_preset(), "mystery", False, 0)
-
-
-def test_run_variant_modes_equal_ablation_runs():
+def test_grid_yields_every_fit_in_order_equal_to_standalone_fits():
     preset = tiny_preset()
-    data = preset_dataset(preset, 1, noisy=True)
-    ablation = run_ablation(data, replace(preset.pipeline, seed=1))
-    for mode in WEIGHT_MODES:
-        result = run_variant(preset, mode, True, 1)
-        assert result.mode == mode
-        assert np.array_equal(result.labels, ablation[mode].labels)
+    fits = list(grid(preset, n_seeds=2))
+    assert [(f.seed, f.variant, f.method) for f in fits] == [
+        (seed, variant, method)
+        for seed in range(2)
+        for variant in ("clean", "noisy")
+        for method in METHODS
+    ]
+    for fit in fits:
+        assert fit.seconds > 0
+        data = preset_dataset(preset, fit.seed, fit.variant == "noisy")
+        cfg = replace(preset.pipeline, seed=fit.seed)
+        if fit.method == "shared":
+            alone = run_shared_baseline(data, cfg)
+        else:
+            alone = run_cemvc(data, replace(cfg, weighting_mode=fit.method))
+        assert fit.result.mode == alone.mode == fit.method
+        for name in ("labels", "soft_labels", "embedding"):
+            assert np.array_equal(getattr(fit.result, name), getattr(alone, name)), name
+        for ta, tb in zip(fit.result.traces, alone.traces, strict=True):
+            for f in fields(RoundTrace):
+                assert np.array_equal(getattr(ta, f.name), getattr(tb, f.name), equal_nan=True)
+
+
+def test_grid_rejects_zero_seeds():
+    with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+        next(grid(tiny_preset(), 0))
 
 
 def test_summarize_eight_rows_and_delta_convention():

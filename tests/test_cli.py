@@ -287,6 +287,17 @@ def test_run_with_more_clusters_than_rows_makes_no_run_dir(dataset_dir, tmp_path
     assert not out.exists()
 
 
+def test_run_with_a_malformed_manifest_makes_no_run_dir(dataset_dir, tmp_path, capsys):
+    manifest = dataset_dir / "manifest.json"
+    manifest.write_text(json.dumps({"name": "ds", "views": "view_0.csv", "labels": "labels.csv"}))
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", manifest, "--out", out, "--config", fast_config(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ")
+    assert '"views" must be a non-empty list of file names' in err
+    assert not out.exists()
+
+
 def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
     # every PipelineConfig and TrainConfig field, each set away from its default
     documented = {

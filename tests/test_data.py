@@ -209,6 +209,29 @@ def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell):
         load_multiview(manifest)
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (["view_0.csv"], "manifest must be a JSON object"),
+        ({"labels": None}, '"views" must be a non-empty list of file names, got None'),
+        ({"views": []}, '"views" must be a non-empty list of file names, got []'),
+        ({"views": "view_0.csv"}, '"views" must be a non-empty list of file names'),
+        ({"views": ["view_0.csv", 3]}, '"views" must be a non-empty list of file names'),
+        ({"views": ["view_0.csv"], "labels": 5}, '"labels" must be null or a file name, got 5'),
+        ({"views": ["view_0.csv"], "labels": ["y.csv"]}, '"labels" must be null or a file name'),
+    ],
+    ids=["list", "no-views", "empty-views", "string-views", "int-view", "int-labels", "list-labels"],
+)
+def test_load_rejects_a_malformed_manifest_naming_it_and_the_key(tmp_path, manifest, message):
+    (tmp_path / "view_0.csv").write_text("1,2\n3,4\n")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_multiview(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
 def test_load_missing_file_names_it(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"views": ["ghost.csv"]}))
     with pytest.raises(FileNotFoundError, match="ghost.csv"):

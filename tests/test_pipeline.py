@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from cemvc.data import MultiViewDataset, synth_multiview
 from cemvc.model import TrainConfig, model_params
 from cemvc.pipeline import (
     PipelineConfig,
+    RoundTrace,
+    pretrain_inputs,
     run_ablation,
     run_cemvc,
     run_shared_baseline,
@@ -164,6 +167,39 @@ def test_ablation_returns_three_modes(tiny_data):
     for mode, result in results.items():
         assert result.mode == mode
         assert result.labels.shape == (120,)
+
+
+def assert_same_fit(a, b):
+    assert a.mode == b.mode
+    for name in ("labels", "soft_labels", "embedding"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.traces) == len(b.traces)
+    for ta, tb in zip(a.traces, b.traces):
+        for f in fields(RoundTrace):
+            assert np.array_equal(getattr(ta, f.name), getattr(tb, f.name), equal_nan=True), f.name
+
+
+def test_ablation_pretrains_each_view_once_and_equals_standalone_runs(tiny_noisy, monkeypatch):
+    real_pretrain = pipeline_module.pretrain
+    made = []
+
+    def counting_pretrain(*args, **kwargs):
+        made.append(real_pretrain(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline_module, "pretrain", counting_pretrain)
+    cfg = tiny_cfg(seed=2, max_outer_iters=3, tolerance=0.0)
+    results = run_ablation(tiny_noisy, cfg)
+    assert len(made) == tiny_noisy.n_views  # once per view, not once per view and mode
+    monkeypatch.undo()
+
+    # every mode has finetuned its copies; the pretrained originals are untouched
+    _, fresh = pretrain_inputs(tiny_noisy, cfg)
+    for original, again in zip(made, fresh):
+        for p, q in zip(model_params(original), model_params(again)):
+            assert np.array_equal(p, q)
+    for mode, result in results.items():
+        assert_same_fit(result, run_cemvc(tiny_noisy, replace(cfg, weighting_mode=mode)))
 
 
 def test_ablation_modes_agree_on_easy_symmetric_data(tiny_data):
