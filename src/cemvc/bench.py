@@ -11,8 +11,6 @@ too; the noisy rows are the weighting-mode ablation.
 
 from __future__ import annotations
 
-import copy
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .data import MultiViewDataset, synth_multiview
 from .model import check_count
-from .pipeline import ClusteringResult, PipelineConfig, outer_loop, pretrain_inputs, run_shared_baseline
+from .pipeline import ClusteringResult, PipelineConfig, run_ablation, run_shared_baseline
 from .weighting import WEIGHT_MODES
 
 METHODS = (*WEIGHT_MODES, "shared")
@@ -62,27 +60,19 @@ class Fit(NamedTuple):
     variant: str
     seed: int
     result: ClusteringResult
-    seconds: float  # the fit's outer loop plus the pretraining it was handed
 
 
 def grid(preset: BenchPreset, n_seeds: int) -> Iterator[Fit]:
     """Every seeded fit, per seed clean before noisy, each in METHODS order. On one
-    dataset the weighting modes share one pretraining, each finetuning its own copy."""
+    dataset the weighting modes are one `run_ablation`, sharing its pretraining."""
     check_count("n_seeds", n_seeds)
     for seed in range(n_seeds):
         cfg = replace(preset.pipeline, seed=seed)
         for variant in VARIANTS:
             data = preset_dataset(preset, seed, variant == "noisy")
-            start = time.perf_counter()
-            inputs, models = pretrain_inputs(data, cfg)
-            pretrain_s = time.perf_counter() - start
-            for mode in WEIGHT_MODES:
-                start = time.perf_counter()
-                result = outer_loop(data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models))
-                yield Fit(mode, variant, seed, result, pretrain_s + time.perf_counter() - start)
-            start = time.perf_counter()
-            result = run_shared_baseline(data, cfg)
-            yield Fit("shared", variant, seed, result, time.perf_counter() - start)
+            results = {**run_ablation(data, cfg), "shared": run_shared_baseline(data, cfg)}
+            for method in METHODS:
+                yield Fit(method, variant, seed, results[method])
 
 
 def summarize(preset: BenchPreset, n_seeds: int) -> list[dict[str, float | str]]:

@@ -58,6 +58,8 @@ def _load_config_file(path: str | None) -> dict:
     if unknown:
         raise ValueError(f"{p}: unknown config keys {sorted(unknown)}")
     train = raw.get("train", {})
+    if not isinstance(train, dict):
+        raise ValueError(f'{p}: "train" must be a JSON object, got {train!r}')
     bad_train = set(train) - set(_TRAIN_KEYS)
     if bad_train:
         raise ValueError(f"{p}: unknown train keys {sorted(bad_train)}")

@@ -7,7 +7,8 @@ order. Manifest keys:
 
     {"name": str, "views": [relative csv paths], "labels": path or null}
 
-Paths are resolved relative to the manifest's directory.
+Paths are resolved relative to the manifest's directory. A missing name
+means "dataset". A bad cell or label is reported as `file:line`.
 """
 
 from __future__ import annotations
@@ -199,7 +200,16 @@ def load_multiview(manifest_path) -> MultiViewDataset:
     label_file = manifest.get("labels")
     if label_file is not None and not isinstance(label_file, str):
         raise ValueError(f'{manifest_path}: "labels" must be null or a file name, got {label_file!r}')
+    name = manifest.get("name", "dataset")
+    if not isinstance(name, str):
+        raise ValueError(f'{manifest_path}: "name" must be a string, got {name!r}')
     views = [_read_numeric_csv(base / p) for p in view_paths]
+    for p, view in zip(view_paths, views):
+        bad = np.argwhere(~np.isfinite(view))
+        if bad.size:
+            row, col = bad[0].tolist()
+            line = _line_of_row(base / p, row)
+            raise ValueError(f"{base / p}:{line}: non-finite value {view[row, col]} in column {col + 1}")
     counts = {v.shape[0] for v in views}
     if len(counts) != 1:
         detail = ", ".join(
@@ -226,7 +236,7 @@ def load_multiview(manifest_path) -> MultiViewDataset:
             raise ValueError(f"{label_path}:{line}: label {raw[bad[0]]!r} is not an integer")
         # any integer coding (1-based, gaps, negatives) becomes classes 0..k-1
         labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
-    return MultiViewDataset(views, labels, name=manifest.get("name", "dataset"))
+    return MultiViewDataset(views, labels, name=name)
 
 
 def write_csv(path, mat) -> None:

@@ -66,10 +66,13 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     in blocks held by V + 2 buffers that every block reuses.
     Per block, each view's scaled distances S_v = -0.5 * max(D_v, 0), with
     its own sample at -inf, repeat the dense estimator's operations in the
-    same order. So a marginal value equals the dense one bit for bit where
-    BLAS rounds a block's dot products as for the full z @ z.T: numpy sends
-    that product, and a single block z[0:n] @ z.T, to syrk, but a proper row
-    block z[s:e] @ z.T to gemm (one row: gemv), which may round differently.
+    same order. So a marginal value equals the dense one bit for bit when
+    all n rows fit in one block: numpy sends that block's z[0:n] @ z.T to
+    syrk, as it does the full z @ z.T. With several blocks, a proper row
+    block z[s:e] @ z.T goes to gemm (one row: gemv), which may round a dot
+    product differently, so the marginal is only within a relative 1e-12 of
+    the dense one (about one ulp was seen); it is bit-equal where the BLAS
+    rounds alike.
     Silverman's joint bandwidth of a column of view v is its marginal one
     divided by a constant, so the joint block is r_v * S_v + r_u * S_u with
     r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)). A joint value
@@ -139,8 +142,9 @@ def kde_entropy(samples) -> float:
     """Leave-one-out kernel-density entropy of an (n, d) sample matrix.
 
     Computed in row blocks (see `_view_entropies`), so memory is
-    O(n * block) rather than O(n^2); the value equals the dense n x n
-    estimator's, bit for bit where the block products allow.
+    O(n * block) rather than O(n^2). The value equals the dense n x n
+    estimator's bit for bit when the n rows fit in one block, and within a
+    relative 1e-12 when they span several.
     """
     x = as_matrix(samples, "samples")
     return float(_view_entropies([x])[0][0])

@@ -13,6 +13,7 @@ shared baseline runs the same loop over one net with no scoring step.
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,6 +80,7 @@ class ClusteringResult:
     metrics: MetricReport | None   # filled when ground truth is available
     embedding: np.ndarray          # fused (or shared-latent) matrix behind the labels
     mode: str
+    seconds: float                 # the pretraining the fit used plus its outer loop
 
 
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
@@ -87,7 +89,7 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sigma
 
 
-def pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
+def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
     """Check the data; return the views as the nets see them (concatenated if `shared`)
     and a net pretrained on each, which depends only on its input, the config and the seed."""
     if data.n_views < 2:
@@ -107,11 +109,13 @@ def pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = 
     ]
 
 
-def outer_loop(
-    data: MultiViewDataset, cfg: PipelineConfig, inputs: list[np.ndarray],
-    models: list[ViewModel], shared: bool = False,
+def _outer_loop(
+    start: float, data: MultiViewDataset, cfg: PipelineConfig,
+    inputs: list[np.ndarray], models: list[ViewModel],
 ) -> ClusteringResult:
-    """The outer loop of both methods, finetuning `models` in place.
+    """The outer loop of both methods, finetuning `models` in place. The result's
+    `seconds` count from the `time.perf_counter()` reading `start`; it comes first,
+    so a caller reads the clock before the arguments that pretrain or copy nets.
 
     The decoupled run trains one net per view and reweights the views every
     round. The shared baseline is the same loop over one net on the
@@ -119,6 +123,7 @@ def outer_loop(
     its latent, and nothing is scored.
     """
     n_views = data.n_views
+    mode = "shared" if len(models) < n_views else cfg.weighting_mode  # one net: the baseline
     k = cfg.n_clusters
     weights = np.ones(len(inputs))
 
@@ -156,11 +161,10 @@ def outer_loop(
         converged = prev_labels is not None and change < cfg.tolerance
         if converged or t >= cfg.max_outer_iters:
             metrics = evaluate(labels, data.labels) if data.labels is not None else None
-            mode = "shared" if shared else cfg.weighting_mode
-            return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode)
+            return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode, time.perf_counter() - start)
         prev_labels = labels
 
-        if shared:
+        if mode == "shared":
             # the fused matrix is the one net's latent, so the net trains
             # against the unified centroids; there is nothing to score
             cond = np.full(n_views, np.nan)
@@ -207,7 +211,7 @@ def outer_loop(
 
 def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
     """Full parameter-decoupled run with adaptive view weighting."""
-    return outer_loop(data, cfg, *pretrain_inputs(data, cfg))
+    return _outer_loop(time.perf_counter(), data, cfg, *_pretrain_inputs(data, cfg))
 
 
 def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
@@ -218,15 +222,18 @@ def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> Clusteri
     per-view shape: weights are all 1, entropy/agreement slots are nan, and
     the shared combined loss is replicated across views.
     """
-    return outer_loop(data, cfg, *pretrain_inputs(data, cfg, shared=True), shared=True)
+    return _outer_loop(time.perf_counter(), data, cfg, *_pretrain_inputs(data, cfg, shared=True))
 
 
-def run_ablation(
-    data: MultiViewDataset, cfg: PipelineConfig
-) -> dict[str, ClusteringResult]:
-    """The decoupled run once per weighting mode, each finetuning a copy of one pretraining."""
-    inputs, models = pretrain_inputs(data, cfg)
+def run_ablation(data: MultiViewDataset, cfg: PipelineConfig) -> dict[str, ClusteringResult]:
+    """The decoupled run once per weighting mode, each finetuning a copy of one
+    pretraining; each mode's `seconds` count that pretraining, as if it ran alone."""
+    start = time.perf_counter()
+    inputs, models = _pretrain_inputs(data, cfg)
+    pretrain_s = time.perf_counter() - start
     return {
-        mode: outer_loop(data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models))
+        mode: _outer_loop(
+            time.perf_counter() - pretrain_s, data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models)
+        )
         for mode in WEIGHT_MODES
     }

@@ -73,7 +73,7 @@ def test_grid_yields_every_fit_in_order_equal_to_standalone_fits():
         for method in METHODS
     ]
     for fit in fits:
-        assert fit.seconds > 0
+        assert fit.result.seconds > 0
         data = preset_dataset(preset, fit.seed, fit.variant == "noisy")
         cfg = replace(preset.pipeline, seed=fit.seed)
         if fit.method == "shared":
@@ -86,6 +86,15 @@ def test_grid_yields_every_fit_in_order_equal_to_standalone_fits():
         for ta, tb in zip(fit.result.traces, alone.traces, strict=True):
             for f in fields(RoundTrace):
                 assert np.array_equal(getattr(ta, f.name), getattr(tb, f.name), equal_nan=True)
+
+
+def test_grid_charges_each_fit_the_pretraining_it_used(slow_pretrain):
+    # a weighting mode pretrains one net per view, the shared baseline one net
+    preset = tiny_preset()
+    for fit in grid(preset, n_seeds=1):
+        n_views = len(preset.dims) + len(preset.noise_dims) * (fit.variant == "noisy")
+        n_nets = 1 if fit.method == "shared" else n_views
+        assert fit.result.seconds >= slow_pretrain * n_nets, (fit.method, fit.variant)
 
 
 def test_grid_rejects_zero_seeds():

@@ -254,6 +254,8 @@ def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
         ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
         ({"tolerance": None}, "tolerance"),
         ({"standardize": "no"}, "standardize"),
+        # a "train" value that is not an object is named with the file
+        *[({"train": value}, '{config}: "train"') for value in ([], None, 5, "abc", [["learning_rate", 0.01]])],
     ],
 )
 def test_run_rejects_non_integer_counts_before_making_a_run_dir(
@@ -264,7 +266,7 @@ def test_run_rejects_non_integer_counts_before_making_a_run_dir(
     out = tmp_path / "runs"
     cfg = fast_config(tmp_path, **override)
     assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", cfg) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert capsys.readouterr().err.startswith(f"error: {field.format(config=cfg)} must be ")
     assert not out.exists()
 
 
@@ -295,6 +297,20 @@ def test_run_with_a_malformed_manifest_makes_no_run_dir(dataset_dir, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: ")
     assert '"views" must be a non-empty list of file names' in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_run_with_a_non_finite_cell_names_file_and_line_and_makes_no_run_dir(
+    dataset_dir, tmp_path, capsys, cell
+):
+    # after the blank line, data row 2 is file line 4
+    view = dataset_dir / "view_1.csv"
+    lines = view.read_text().splitlines()
+    view.write_text("\n".join([lines[0], "", lines[1], f"{cell},{lines[2].split(',', 1)[1]}", *lines[3:]]) + "\n")
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", fast_config(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {view}:4: non-finite value {cell} in column 1\n"
     assert not out.exists()
 
 

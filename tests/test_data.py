@@ -165,6 +165,7 @@ def test_load_smoke_two_small_views(tmp_path):
     data = load_multiview(tmp_path / "manifest.json")
     assert data.n_views == 2
     assert data.n_samples == 4
+    assert data.name == "smoke"
 
 
 def test_load_reports_both_row_counts_on_mismatch(tmp_path):
@@ -197,6 +198,7 @@ def write_labelled(tmp_path, label_text):
 
 def test_load_remaps_labels_to_contiguous_classes(tmp_path):
     data = load_multiview(write_labelled(tmp_path, "3\n1\n7\n3\n"))
+    assert data.name == "dataset"  # the manifest has no "name"
     assert data.labels.tolist() == [1, 0, 2, 1]
     assert data.labels.dtype == np.int64
 
@@ -219,8 +221,14 @@ def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell):
         ({"views": ["view_0.csv", 3]}, '"views" must be a non-empty list of file names'),
         ({"views": ["view_0.csv"], "labels": 5}, '"labels" must be null or a file name, got 5'),
         ({"views": ["view_0.csv"], "labels": ["y.csv"]}, '"labels" must be null or a file name'),
+        ({"views": ["view_0.csv"], "name": [1]}, '"name" must be a string, got [1]'),
+        ({"views": ["view_0.csv"], "name": 7}, '"name" must be a string, got 7'),
+        ({"views": ["view_0.csv"], "name": None}, '"name" must be a string, got None'),
     ],
-    ids=["list", "no-views", "empty-views", "string-views", "int-view", "int-labels", "list-labels"],
+    ids=[
+        "list", "no-views", "empty-views", "string-views", "int-view", "int-labels", "list-labels",
+        "list-name", "int-name", "null-name",
+    ],
 )
 def test_load_rejects_a_malformed_manifest_naming_it_and_the_key(tmp_path, manifest, message):
     (tmp_path / "view_0.csv").write_text("1,2\n3,4\n")
@@ -230,6 +238,17 @@ def test_load_rejects_a_malformed_manifest_naming_it_and_the_key(tmp_path, manif
         load_multiview(path)
     assert str(err.value).startswith(f"{path}: ")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_names_file_and_line_for_a_non_finite_cell(tmp_path, cell):
+    # the blank line is not a data row but still counts as a file line
+    (tmp_path / "v0.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "v1.csv").write_text(f"1,2\n\n3,4\n5,{cell}\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"views": ["v0.csv", "v1.csv"]}))
+    with pytest.raises(ValueError) as err:
+        load_multiview(tmp_path / "manifest.json")
+    assert str(err.value) == f"{tmp_path / 'v1.csv'}:4: non-finite value {cell} in column 2"
 
 
 def test_load_missing_file_names_it(tmp_path):

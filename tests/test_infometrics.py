@@ -222,6 +222,22 @@ def test_view_entropies_match_dense_reference(case):
     assert_matches_dense_reference(VIEW_CASES[case]())
 
 
+SWEEP_N = 37
+
+
+@pytest.mark.parametrize("block_cells", [1, 3 * SWEEP_N, 15 * SWEEP_N, 60 * SWEEP_N])
+def test_kde_entropy_multi_block_inputs_match_dense_reference_to_joint_rtol(monkeypatch, block_cells):
+    # These block sizes give blocks of 1 to n rows. A proper row block's
+    # product is a BLAS gemm (one row: gemv), which need not round as the
+    # dense z @ z.T (syrk) does, so some of these 96 marginals differ from
+    # the oracle in their last bits; the bound is the joint tolerance.
+    monkeypatch.setattr(infometrics, "_BLOCK_CELLS", block_cells)
+    for d in range(1, 17):
+        for seed in range(6):
+            x = _normal(SWEEP_N, d, seed)
+            np.testing.assert_allclose(kde_entropy(x), dense_kde_entropy(x), rtol=JOINT_RTOL, atol=0)
+
+
 def test_view_entropies_single_row_blocks_match_dense_reference(monkeypatch):
     monkeypatch.setattr(infometrics, "_BLOCK_CELLS", 1)
     # A one-row block's product is a BLAS matrix-vector call, which need not

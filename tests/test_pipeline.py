@@ -12,12 +12,12 @@ from cemvc.model import TrainConfig, model_params
 from cemvc.pipeline import (
     PipelineConfig,
     RoundTrace,
-    pretrain_inputs,
+    _pretrain_inputs,
     run_ablation,
     run_cemvc,
     run_shared_baseline,
 )
-from cemvc.weighting import WEIGHT_FLOOR
+from cemvc.weighting import WEIGHT_FLOOR, WEIGHT_MODES
 
 
 def tiny_cfg(seed=0, **overrides):
@@ -194,12 +194,24 @@ def test_ablation_pretrains_each_view_once_and_equals_standalone_runs(tiny_noisy
     monkeypatch.undo()
 
     # every mode has finetuned its copies; the pretrained originals are untouched
-    _, fresh = pretrain_inputs(tiny_noisy, cfg)
+    _, fresh = _pretrain_inputs(tiny_noisy, cfg)
     for original, again in zip(made, fresh):
         for p, q in zip(model_params(original), model_params(again)):
             assert np.array_equal(p, q)
     for mode, result in results.items():
         assert_same_fit(result, run_cemvc(tiny_noisy, replace(cfg, weighting_mode=mode)))
+
+
+def test_seconds_include_the_pretraining_each_fit_used(tiny_noisy, slow_pretrain):
+    # every weighting mode of the ablation is charged the one shared pretraining
+    cfg = tiny_cfg(max_outer_iters=1)
+    n_views = tiny_noisy.n_views
+    assert run_cemvc(tiny_noisy, cfg).seconds >= slow_pretrain * n_views
+    assert run_shared_baseline(tiny_noisy, cfg).seconds >= slow_pretrain
+    results = run_ablation(tiny_noisy, cfg)
+    assert set(results) == set(WEIGHT_MODES)
+    for result in results.values():
+        assert result.seconds >= slow_pretrain * n_views
 
 
 def test_ablation_modes_agree_on_easy_symmetric_data(tiny_data):
