@@ -29,7 +29,6 @@ VARIANTS = ("clean", "noisy")
 class BenchPreset:
     name: str
     n_samples: int = 600
-    n_clusters: int = 3
     dims: tuple[int, ...] = (6, 6)
     separation: tuple[float, ...] = (4.0, 4.0)
     noise_dims: tuple[int, ...] = (200,)  # the noise views of the noisy variant
@@ -46,7 +45,7 @@ PRESETS = {
 def preset_dataset(preset: BenchPreset, seed: int, noisy: bool) -> MultiViewDataset:
     return synth_multiview(
         preset.n_samples,
-        preset.n_clusters,
+        preset.pipeline.n_clusters,
         preset.dims,
         preset.separation,
         noise_dims=preset.noise_dims if noisy else (),

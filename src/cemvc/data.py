@@ -2,8 +2,8 @@
 
 On disk a dataset is a JSON manifest plus one headerless numeric CSV per
 view and an optional one-column integer label CSV. Labels may use any
-integer coding; loading maps them to contiguous classes 0..k-1 in sorted
-order. Manifest keys:
+integer coding; a dataset maps them to contiguous classes 0..k-1 in
+sorted order, whether it is loaded or built in memory. Manifest keys:
 
     {"name": str, "views": [relative csv paths], "labels": path or null}
 
@@ -29,6 +29,8 @@ class MultiViewDataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.views:
             raise ValueError("dataset needs at least one view")
         self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
@@ -51,13 +53,10 @@ class MultiViewDataset:
                         f"label {labels.flat[bad[0]]!r} at index {bad[0]} is not an integer"
                     )
                 labels = values
-            self.labels = labels.astype(np.int64)
-            if self.labels.shape != (self.n_samples,):
-                raise ValueError(
-                    f"labels have shape {self.labels.shape}, expected ({self.n_samples},)"
-                )
-            if self.labels.min() < 0:
-                raise ValueError("labels must be nonnegative class indices")
+            if labels.shape != (self.n_samples,):
+                raise ValueError(f"labels have shape {labels.shape}, expected ({self.n_samples},)")
+            # any integer coding (1-based, gaps, negatives) becomes classes 0..k-1
+            self.labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
 
     @property
     def n_samples(self) -> int:
@@ -229,13 +228,11 @@ def load_multiview(manifest_path) -> MultiViewDataset:
                 f"label rows ({label_mat.shape[0]}) disagree with view rows "
                 f"({views[0].shape[0]})"
             )
-        raw = label_mat[:, 0]
-        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.rint(raw)))
+        labels = label_mat[:, 0]
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.rint(labels)))
         if bad.size:
             line = _line_of_row(label_path, int(bad[0]))
-            raise ValueError(f"{label_path}:{line}: label {raw[bad[0]]!r} is not an integer")
-        # any integer coding (1-based, gaps, negatives) becomes classes 0..k-1
-        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
+            raise ValueError(f"{label_path}:{line}: label {labels[bad[0]]!r} is not an integer")
     return MultiViewDataset(views, labels, name=name)
 
 

@@ -28,6 +28,7 @@ from .numcore import (
     DenseNet,
     Workspace,
     adam_step,
+    as_input,
     as_matrix,
     backward,
     forward,
@@ -109,40 +110,6 @@ def model_params(model: ViewModel) -> list[np.ndarray]:
 
 def encode(model: ViewModel, x) -> np.ndarray:
     return forward(model.encoder, x)
-
-
-def _checked_inputs(model: ViewModel, x, target, centroids, clustering_weight: float):
-    """x, target and centroids as finite float64 matrices that fit the model.
-
-    With clustering_weight == 0 the target and centroids are returned unread.
-    """
-    x = as_matrix(x, "view data")
-    if x.shape[1] != model.encoder.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns but the first layer expects "
-            f"{model.encoder.input_dim}"
-        )
-    if clustering_weight > 0:
-        target = as_matrix(target, "target")
-        centroids = as_matrix(centroids, "centroids")
-        if target.shape[0] != x.shape[0]:
-            raise ValueError(f"target has {target.shape[0]} rows, view data has {x.shape[0]}")
-        if centroids.shape != (target.shape[1], model.latent_dim):
-            raise ValueError(
-                f"centroids have shape {centroids.shape}, expected "
-                f"({target.shape[1]}, {model.latent_dim})"
-            )
-    return x, target, centroids
-
-
-def combined_loss(model: ViewModel, x, target, centroids, clustering_weight: float) -> float:
-    """The loss of one full-batch training step on x; its gradient is discarded.
-
-    Inputs are checked as finetune_view checks them. With
-    clustering_weight == 0 the target and centroids are never read.
-    """
-    x, target, centroids = _checked_inputs(model, x, target, centroids, clustering_weight)
-    return _loss_and_grads(model, x, target, centroids, clustering_weight)[0]
 
 
 class _StepBuffers:
@@ -253,17 +220,29 @@ def pretrain(
     return model
 
 
-def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig, seed: int = 0) -> ViewModel:
-    """Run finetune_steps_per_round combined-loss steps on this view only.
+def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig, seed: int = 0) -> float:
+    """Run finetune_steps_per_round combined-loss steps on this view only, in place.
 
-    Centroids stay frozen for the whole round. With clustering_weight == 0
-    the target matrix is never read.
+    Returns the loss of one full-batch step at the finetuned parameters,
+    whatever the batch size; a non-finite step loss raises, this one is
+    returned as it is. Centroids stay frozen for the whole round. With
+    clustering_weight == 0 the target and centroids are never read.
     """
     lam = cfg.clustering_weight
-    x, target, centroids = _checked_inputs(model, x, target, centroids, lam)
+    x = as_input(model.encoder, x, "view data")
+    if lam > 0:
+        target = as_matrix(target, "target")
+        centroids = as_matrix(centroids, "centroids")
+        if target.shape[0] != x.shape[0]:
+            raise ValueError(f"target has {target.shape[0]} rows, view data has {x.shape[0]}")
+        if centroids.shape != (target.shape[1], model.latent_dim):
+            raise ValueError(
+                f"centroids have shape {centroids.shape}, expected "
+                f"({target.shape[1]}, {model.latent_dim})"
+            )
     batch_rng = np.random.default_rng((seed, 103, model.view_index))
     _train(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
         lambda step: f"finetuning loss at step {step}",
     )
-    return model
+    return _loss_and_grads(model, x, target, centroids, lam)[0]

@@ -41,6 +41,14 @@ def as_matrix(values, name: str = "matrix") -> Array:
     return out
 
 
+def as_input(net: DenseNet, x, name: str = "input") -> Array:
+    """Coerce to a finite 2-D float64 array with the columns `net` takes."""
+    x = as_matrix(x, name)
+    if x.shape[1] != net.input_dim:
+        raise ValueError(f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}")
+    return x
+
+
 @dataclass
 class Layer:
     """One layer's arrays, as views into its net's parameter vector."""
@@ -142,11 +150,7 @@ def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
     buffer.
     """
     if work is None:
-        x = as_matrix(x, "input")
-        if x.shape[1] != net.input_dim:
-            raise ValueError(
-                f"input has {x.shape[1]} columns but the first layer expects {net.input_dim}"
-            )
+        x = as_input(net, x)
     m = x.shape[0]
     last = len(net.layers) - 1
     a = x

@@ -22,7 +22,7 @@ from .clustering import kmeans, soft_assign, target_distribution
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
-from .model import TrainConfig, ViewModel, check_count, check_real, combined_loss, encode, finetune_view, pretrain
+from .model import TrainConfig, ViewModel, check_count, check_real, encode, finetune_view, pretrain
 from .weighting import WEIGHT_MODES, scale_representations, update_weights
 
 
@@ -190,10 +190,10 @@ def _outer_loop(
             centroids = view_centroids
         target = target_distribution(unified_soft)
 
-        losses = np.empty(len(models))
-        for v, (model, x, c) in enumerate(zip(models, inputs, centroids)):
+        losses = np.array([
             finetune_view(model, x, target, c, cfg.train, cfg.seed)
-            losses[v] = combined_loss(model, x, target, c, cfg.train.clustering_weight)
+            for model, x, c in zip(models, inputs, centroids)
+        ])
 
         # the shared net's weight and loss fill every view's slot
         traces.append(

@@ -23,7 +23,6 @@ def tiny_preset():
     return BenchPreset(
         name="tiny",
         n_samples=90,
-        n_clusters=3,
         dims=(5, 5),
         separation=(7.0, 7.0),
         noise_dims=(10,),
@@ -50,6 +49,14 @@ def test_preset_dataset_noisy_shares_informative_views():
     assert noisy.n_views == clean.n_views + len(preset.noise_dims)
     for a, b in zip(clean.views, noisy.views):
         assert np.array_equal(a, b)
+
+
+def test_preset_draws_as_many_classes_as_its_pipeline_fits():
+    tiny = tiny_preset()
+    preset = replace(tiny, pipeline=replace(tiny.pipeline, n_clusters=4))
+    assert np.unique(preset_dataset(preset, seed=0, noisy=False).labels).tolist() == [0, 1, 2, 3]
+    for fit in grid(preset, n_seeds=1):
+        assert fit.result.metrics.confusion.shape[1] == 4
 
 
 def test_benchmark_inputs_match_the_preset():

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -138,6 +139,18 @@ def test_dataset_accepts_integral_float_labels(labels):
     assert data.labels.dtype == np.int64
 
 
+def test_dataset_remaps_any_integer_coding_to_contiguous_classes():
+    data = MultiViewDataset([np.zeros((4, 2))], labels=[10**9, 5, -3, 5])
+    assert data.labels.tolist() == [2, 1, 0, 1]
+    assert data.labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("name", [[1], 5, None])
+def test_dataset_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(ValueError, match=re.escape(f"name must be a string, got {name!r}")):
+        MultiViewDataset([np.ones((3, 2))], name=name)
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     data = synth_multiview(50, 3, (4, 4), (6.0, 6.0), seed=10)
     manifest = save_multiview(data, tmp_path / "ds")
@@ -151,6 +164,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
 def test_save_load_without_labels(tmp_path):
     data = MultiViewDataset([np.eye(3), np.ones((3, 2))], name="plain")
     loaded = load_multiview(save_multiview(data, tmp_path))
+    assert loaded.name == "plain"
     assert loaded.labels is None
     assert loaded.n_views == 2
 

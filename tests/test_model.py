@@ -12,7 +12,6 @@ from cemvc.model import (
     TrainConfig,
     _StepBuffers,
     build_view_model,
-    combined_loss,
     encode,
     finetune_view,
     model_params,
@@ -45,7 +44,7 @@ def jittered_model(input_dim, hidden, latent, seed, scale=0.3):
 
 
 def reconstruction_loss(model, x):
-    return combined_loss(model, x, None, None, 0.0)
+    return _loss_and_grads(model, x, None, None, 0.0)[0]
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -90,10 +89,9 @@ def test_pretrain_loss_trend_mostly_nonincreasing():
     model = pretrain(x, hidden_dims=(16,), latent_dim=3, cfg=cfg, seed=2)
     losses = [reconstruction_loss(model, x)]
     for _ in range(60):
-        model = finetune_view(
+        losses.append(finetune_view(
             model, x, None, None, TrainConfig(finetune_steps_per_round=5, clustering_weight=0.0, learning_rate=3e-3)
-        )
-        losses.append(reconstruction_loss(model, x))
+        ))
     window_means = [np.mean(losses[i : i + 5]) for i in range(len(losses) - 4)]
     drops = sum(a >= b for a, b in zip(window_means, window_means[1:]))
     assert drops / (len(window_means) - 1) >= 0.9
@@ -190,9 +188,8 @@ def test_finetune_reduces_combined_loss_most_rounds():
         q = soft_assign(latent, centroids)
         target = q**2 / q.sum(0)
         target /= target.sum(1, keepdims=True)
-        before = combined_loss(model, x, target, centroids, 0.1)
-        finetune_view(model, x, target, centroids, step_cfg, seed=10)
-        after = combined_loss(model, x, target, centroids, 0.1)
+        before = _loss_and_grads(model, x, target, centroids, 0.1)[0]
+        after = finetune_view(model, x, target, centroids, step_cfg, seed=10)
         improved += int(after <= before)
     assert improved / rounds >= 0.9
 
@@ -223,31 +220,23 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, x, np.zeros((10, 3)), np.zeros((4, 2)), cfg)
     with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
         finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
-
-
-def test_combined_loss_checks_inputs_as_finetune_does():
-    model = jittered_model(4, (5,), 2, seed=13)
-    x = np.zeros((10, 4))
-    with pytest.raises(ValueError, match="rows"):
-        combined_loss(model, x, np.zeros((9, 3)), np.zeros((3, 2)), 0.5)
-    with pytest.raises(ValueError, match="centroids"):
-        combined_loss(model, x, np.zeros((10, 3)), np.zeros((4, 2)), 0.5)
-    with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
-        combined_loss(model, np.zeros((10, 5)), None, None, 0.0)
     with pytest.raises(ValueError, match="target contains non-finite"):
-        combined_loss(model, x, np.full((10, 3), np.nan), np.zeros((3, 2)), 0.5)
+        finetune_view(model, x, np.full((10, 3), np.nan), np.zeros((3, 2)), cfg)
 
 
+@pytest.mark.parametrize("batch_size", [None, 16])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_combined_loss_is_the_full_batch_step_loss(lam):
+def test_finetune_returns_the_full_batch_step_loss(lam, batch_size):
     x, target, centroids = clustered_view()
     model = jittered_model(12, (9, 7), 3, seed=39)
-    step_loss, _ = _loss_and_grads(model, x, target, centroids, lam)
-    assert combined_loss(model, x.tolist(), target, centroids, lam) == step_loss
+    cfg = TrainConfig(finetune_steps_per_round=5, batch_size=batch_size, clustering_weight=lam)
+    loss = finetune_view(model, x.tolist(), target, centroids, cfg, seed=39)
+    # the loss at the finetuned parameters, over every row whatever the batch size
+    assert loss == _loss_and_grads(model, x, target, centroids, lam)[0]
 
 
-@pytest.mark.parametrize("loss", ["step", "combined_loss"])
-def test_one_clustering_step_evaluates_the_kernel_once(loss, monkeypatch):
+@pytest.mark.parametrize("call", ["step", "finetune_view"])
+def test_one_clustering_step_evaluates_the_kernel_once(call, monkeypatch):
     x, target, centroids = clustered_view()
     model = jittered_model(12, (9,), 3, seed=38)
     real = clustering_module._squared_distances
@@ -258,11 +247,13 @@ def test_one_clustering_step_evaluates_the_kernel_once(loss, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(clustering_module, "_squared_distances", counting)
-    if loss == "step":
+    if call == "step":
         _loss_and_grads(model, x, target, centroids, 0.3)
+        assert len(calls) == 1
     else:
-        combined_loss(model, x, target, centroids, 0.3)
-    assert len(calls) == 1
+        # four steps, then the full-batch loss it returns
+        finetune_view(model, x, target, centroids, TrainConfig(finetune_steps_per_round=4, clustering_weight=0.3))
+        assert len(calls) == 4 + 1
 
 
 def test_non_finite_losses_name_the_epoch_step_and_view():
@@ -280,6 +271,18 @@ def test_non_finite_losses_name_the_epoch_step_and_view():
             finetune_view(
                 model, x, np.full((10, 3), 1 / 3), np.zeros((3, 2)), TrainConfig(clustering_weight=0.5)
             )
+
+
+def test_finetune_returns_a_non_finite_final_loss():
+    # one Adam step of about 1e200 per parameter: the step's loss is finite,
+    # the loss at the parameters it leaves overflows
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9,), 3, seed=40)
+    cfg = TrainConfig(finetune_steps_per_round=1, learning_rate=1e200, clustering_weight=0.3)
+    with np.errstate(all="ignore"):
+        loss = finetune_view(model, x, target, centroids, cfg)
+    assert np.isfinite(model_params(model)[0]).all()
+    assert not np.isfinite(loss)
 
 
 def test_train_config_validation():

@@ -143,6 +143,30 @@ def test_parameter_disjointness_through_full_run(tiny_data, monkeypatch):
             assert not np.shares_memory(p, q), (v, w)
 
 
+@pytest.mark.parametrize("run", [run_cemvc, run_shared_baseline])
+def test_each_round_finetunes_each_net_once_and_traces_the_loss_it_returns(tiny_data, run, monkeypatch):
+    real_finetune = pipeline_module.finetune_view
+    returned = []
+
+    def spy(*args):
+        returned.append(real_finetune(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(pipeline_module, "finetune_view", spy)
+    result = run(tiny_data, tiny_cfg(tolerance=0.0, max_outer_iters=3))
+    nets = 1 if run is run_shared_baseline else tiny_data.n_views
+    assert len(returned) == 3 * nets
+    for t, trace in enumerate(result.traces):
+        assert np.array_equal(trace.losses, np.resize(returned[t * nets : (t + 1) * nets], tiny_data.n_views))
+
+
+def test_fit_on_sparse_label_codes_scores_one_column_per_label(tiny_data):
+    codes = np.array([1000, -7, 17])[tiny_data.labels]
+    result = run_cemvc(MultiViewDataset(tiny_data.views, codes), tiny_cfg())
+    assert result.metrics.confusion.shape == (3, 3)
+    assert result.metrics.acc == run_cemvc(tiny_data, tiny_cfg()).metrics.acc
+
+
 def test_shared_baseline_smoke(tiny_data):
     result = run_shared_baseline(tiny_data, tiny_cfg())
     assert result.labels.shape == (120,)
