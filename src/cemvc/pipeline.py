@@ -7,7 +7,10 @@ unified soft labels, score each view (conditional entropy + agreement with
 the unified labels), refresh the weights, sharpen the unified labels into
 a target, and finetune each view's autoencoder against that target.
 Weights produced at iteration t scale the fusion at iteration t+1. The
-shared baseline runs the same loop over one net with no scoring step.
+unified centroids are kept divided by the fusion scale, in the nets' own
+coordinates, so they warm-start the next round's k-means under the new
+weights. The shared baseline runs the same loop over one net with no
+scoring step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
 from .model import TrainConfig, ViewModel, check_count, check_real, encode, finetune_view, pretrain
-from .weighting import WEIGHT_MODES, scale_representations, update_weights
+from .weighting import WEIGHT_MODES, update_weights
 
 
 @dataclass
@@ -120,7 +123,9 @@ def _outer_loop(
     The decoupled run trains one net per view and reweights the views every
     round. The shared baseline is the same loop over one net on the
     concatenated views: its single weight stays 1, so fusion is a copy of
-    its latent, and nothing is scored.
+    its latent, and nothing is scored. `centers` holds the unified centroids
+    in the nets' coordinates: times this round's fusion scale, they
+    warm-start the unified k-means.
     """
     n_views = data.n_views
     mode = "shared" if len(models) < n_views else cfg.weighting_mode  # one net: the baseline
@@ -129,8 +134,7 @@ def _outer_loop(
 
     traces: list[RoundTrace] = []
     prev_labels: np.ndarray | None = None
-    unified_centroids: np.ndarray | None = None
-    prev_fusion: np.ndarray | None = None
+    centers: np.ndarray | None = None
     view_centroids: list[np.ndarray | None] = [None] * n_views
 
     t = 0
@@ -141,20 +145,14 @@ def _outer_loop(
         # into the Student-t soft labels (sharper fused spaces self-train
         # harder), coupling the weighting mode to an unrelated temperature
         # effect.
-        fusion = weights / weights.mean()
-        fused = scale_representations(fusion, reps)
-        if unified_centroids is not None:
-            # stored centroids live in the previous round's block scaling;
-            # map them into the current one so warm-starting keeps label
-            # identity instead of planting mis-scaled centroids
-            ratios = np.repeat(fusion / prev_fusion, cfg.latent_dim)
-            init = unified_centroids * ratios
-        else:
-            init = None
-        prev_fusion = fusion
+        scale = np.repeat(weights / weights.mean(), cfg.latent_dim)
+        fused = np.hstack(reps)
+        fused *= scale
         unified_centroids, labels = kmeans(
-            fused, k, seed=(cfg.seed, 3, t), init=init, n_init=cfg.kmeans_restarts
+            fused, k, seed=(cfg.seed, 3, t), init=None if centers is None else centers * scale,
+            n_init=cfg.kmeans_restarts,
         )
+        centers = unified_centroids / scale
         # each label is its row's nearest centroid, so the argmax of its soft labels
         unified_soft = soft_assign(fused, unified_centroids)
         change = 1.0 if prev_labels is None else float(np.mean(labels != prev_labels))

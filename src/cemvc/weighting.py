@@ -1,18 +1,15 @@
-"""Per-view weights: block scaling and the update rule.
+"""The per-view weight update rule.
 
-Each view owns one positive scalar applied to its latent block during
-fusion. The update rewards agreement with the unified labels (through an
-exponential of normalized mutual information) and penalizes redundancy
-(through min-max-normalized conditional entropy in the denominator).
+Each view owns one positive weight; the pipeline scales the view's latent
+block by it during fusion. The update rewards agreement with the unified
+labels (through an exponential of normalized mutual information) and
+penalizes redundancy (through min-max-normalized conditional entropy in
+the denominator).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from .numcore import as_matrix
 
 WEIGHT_MODES = ("nmi", "enmi", "enmi_ce")
 
@@ -23,17 +20,6 @@ NORM_FLOOR = 0.1
 # Added to every weight so blocks never collapse to exactly zero, which
 # would break the density estimates downstream.
 WEIGHT_FLOOR = 1e-3
-
-
-def scale_representations(weights: np.ndarray, reps: Sequence[np.ndarray]) -> np.ndarray:
-    """Multiply each view block by its weight and concatenate columns."""
-    if len(reps) != len(weights):
-        raise ValueError(f"{len(reps)} views but {len(weights)} weights")
-    mats = [as_matrix(r, f"view {v}") for v, r in enumerate(reps)]
-    rows = {m.shape[0] for m in mats}
-    if len(rows) != 1:
-        raise ValueError(f"views have differing row counts: {sorted(rows)}")
-    return np.hstack([m * weights[v] for v, m in enumerate(mats)])
 
 
 def normalize_entropies(values: np.ndarray) -> np.ndarray:

@@ -160,6 +160,56 @@ def test_each_round_finetunes_each_net_once_and_traces_the_loss_it_returns(tiny_
         assert np.array_equal(trace.losses, np.resize(returned[t * nets : (t + 1) * nets], tiny_data.n_views))
 
 
+def spy_encode(monkeypatch, edit=lambda call, rep: rep):
+    """Record every `pipeline.encode` return, after `edit(call index, latent)`."""
+    real_encode = pipeline_module.encode
+    encoded = []
+
+    def spy(model, x):
+        encoded.append(edit(len(encoded), real_encode(model, x)))
+        return encoded[-1]
+
+    monkeypatch.setattr(pipeline_module, "encode", spy)
+    return encoded
+
+
+def test_embedding_is_the_last_round_latents_fused_under_mean_one_weights(tiny_noisy, monkeypatch):
+    encoded = spy_encode(monkeypatch)
+    cfg = tiny_cfg(tolerance=0.0, max_outer_iters=2)
+    result = run_cemvc(tiny_noisy, cfg)
+    w = result.traces[-1].weights
+    assert w.min() != w.max()  # so the per-block scaling shows
+    last = encoded[-tiny_noisy.n_views :]
+    assert (result.embedding == np.hstack(last) * np.repeat(w / w.mean(), cfg.latent_dim)).all()
+
+    encoded.clear()
+    shared = run_shared_baseline(tiny_noisy, cfg)
+    assert len(encoded) == len(shared.traces) + 1  # one net, one encoding per round
+    assert np.array_equal(shared.embedding, encoded[-1])
+
+
+def test_a_non_finite_latent_stops_the_fit_before_finetuning(tiny_noisy, monkeypatch):
+    n_views = tiny_noisy.n_views
+
+    def poison(call, rep):
+        if call == n_views + 1:  # view 1 in round 1
+            rep[0, 0] = np.nan
+        return rep
+
+    spy_encode(monkeypatch, poison)
+    finetuned = []
+    real_finetune = pipeline_module.finetune_view
+
+    def counting_finetune(*args):
+        finetuned.append(args[0].view_index)
+        return real_finetune(*args)
+
+    monkeypatch.setattr(pipeline_module, "finetune_view", counting_finetune)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_cemvc(tiny_noisy, tiny_cfg(tolerance=0.0, max_outer_iters=3))
+    assert finetuned == list(range(n_views))  # round 0 only
+
+
 def test_fit_on_sparse_label_codes_scores_one_column_per_label(tiny_data):
     codes = np.array([1000, -7, 17])[tiny_data.labels]
     result = run_cemvc(MultiViewDataset(tiny_data.views, codes), tiny_cfg())

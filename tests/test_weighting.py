@@ -8,7 +8,6 @@ from cemvc.weighting import (
     NORM_FLOOR,
     WEIGHT_FLOOR,
     normalize_entropies,
-    scale_representations,
     update_weights,
 )
 
@@ -35,34 +34,6 @@ def test_view_weights_reject_nonpositive():
     # raw consistency below -WEIGHT_FLOOR would give a negative nmi weight
     with pytest.raises(ValueError, match="finite and strictly positive"):
         update_weights(np.array([0.5, -0.5]), np.ones(2), mode="nmi")
-
-
-def test_scale_with_unit_weights_is_concatenation():
-    rng = np.random.default_rng(0)
-    reps = [rng.standard_normal((6, 2)), rng.standard_normal((6, 3))]
-    fused = scale_representations(np.ones(2), reps)
-    assert np.array_equal(fused, np.hstack(reps))
-    assert fused.shape == (6, 5)
-    assert np.array_equal(fused[:, 2:5], reps[1])
-
-
-def test_scale_doubling_one_weight_touches_only_that_block():
-    rng = np.random.default_rng(1)
-    reps = [rng.standard_normal((5, 2)), rng.standard_normal((5, 2))]
-    base = scale_representations(np.array([1.0, 1.0]), reps)
-    bumped = scale_representations(np.array([1.0, 2.0]), reps)
-    assert np.array_equal(bumped[:, 0:2], base[:, 0:2])
-    assert np.array_equal(bumped[:, 2:4], 2.0 * base[:, 2:4])
-
-
-def test_scale_rejects_view_count_mismatch():
-    with pytest.raises(ValueError, match="weights"):
-        scale_representations(np.ones(1), [np.zeros((3, 2)), np.zeros((3, 2))])
-
-
-def test_scale_rejects_row_mismatch():
-    with pytest.raises(ValueError, match="row counts"):
-        scale_representations(np.ones(2), [np.zeros((3, 2)), np.zeros((4, 2))])
 
 
 def test_normalize_entropies_range_and_degenerate_case():

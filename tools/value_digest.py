@@ -1,0 +1,79 @@
+"""Print one hash per seeded fit, so that two commits' outputs can be compared.
+
+    python3 tools/value_digest.py > digest.txt
+
+Run it from a checkout of each commit (copy this file into a checkout that
+lacks it) and `diff` the two outputs. It imports `cemvc` from the `src/`
+beside it and takes no options.
+
+The first line names the numpy version and the BLAS thread setting; then
+comes one line per fit, `method variant seed config sha256`. The hash covers
+the labels, soft labels, embedding, ACC, NMI, confusion table and every
+`RoundTrace` field. The 36 fits are on `noisy3view`, seeds 0-2, clean and
+noisy: with the preset config, `run_ablation`'s three modes and
+`run_shared_baseline`; with a mini-batch config (`tolerance=0`,
+`max_outer_iters=3`, `batch_size=64`), `run_cemvc` and `run_shared_baseline`.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+# BLAS threads are pinned before numpy loads: noisy fits are bit-exact only
+# for a fixed thread count.
+BLAS_THREADS = 1
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = str(BLAS_THREADS)
+
+import hashlib  # noqa: E402
+from dataclasses import fields, replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cemvc.bench import PRESETS, VARIANTS, preset_dataset  # noqa: E402
+from cemvc.pipeline import ClusteringResult, RoundTrace, run_ablation, run_cemvc, run_shared_baseline  # noqa: E402
+
+SEEDS = range(3)
+
+
+def digest(result: ClusteringResult) -> str:
+    """sha256 over a fit's values, each with its dtype and shape."""
+    h = hashlib.sha256()
+    values = [result.labels, result.soft_labels, result.embedding, result.metrics.acc,
+              result.metrics.nmi, result.metrics.confusion, len(result.traces)]
+    values += [getattr(trace, f.name) for trace in result.traces for f in fields(RoundTrace)]
+    for value in values:
+        a = np.asarray(value)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def fits():
+    """(method, variant, seed, config, result) for each of the 36 fits."""
+    preset = PRESETS["noisy3view"]
+    for seed in SEEDS:
+        cfg = replace(preset.pipeline, seed=seed)
+        mini = replace(cfg, tolerance=0.0, max_outer_iters=3, train=replace(cfg.train, batch_size=64))
+        for variant in VARIANTS:
+            data = preset_dataset(preset, seed, variant == "noisy")
+            for method, result in {**run_ablation(data, cfg), "shared": run_shared_baseline(data, cfg)}.items():
+                yield method, variant, seed, "preset", result
+            yield mini.weighting_mode, variant, seed, "minibatch", run_cemvc(data, mini)
+            yield "shared", variant, seed, "minibatch", run_shared_baseline(data, mini)
+
+
+def main() -> None:
+    threads = " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS)
+    print(f"# numpy {np.__version__} {threads}", flush=True)
+    for method, variant, seed, config, result in fits():
+        print(method, variant, seed, config, digest(result), flush=True)
+
+
+if __name__ == "__main__":
+    main()
