@@ -8,9 +8,10 @@ the unified labels), refresh the weights, sharpen the unified labels into
 a target, and finetune each view's autoencoder against that target.
 Weights produced at iteration t scale the fusion at iteration t+1. The
 unified centroids are kept divided by the fusion scale, in the nets' own
-coordinates, so they warm-start the next round's k-means under the new
-weights. The shared baseline runs the same loop over one net with no
-scoring step.
+coordinates: they warm-start the next round's k-means under the new
+weights, and each view finetunes toward its own block of them, so its
+cluster j is the target's cluster j. The shared baseline runs the same
+loop over one net with no scoring step.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def _outer_loop(
     round. The shared baseline is the same loop over one net on the
     concatenated views: its single weight stays 1, so fusion is a copy of
     its latent, and nothing is scored. `centers` holds the unified centroids
-    in the nets' coordinates: times this round's fusion scale, they
-    warm-start the unified k-means.
+    in the nets' coordinates: times the next round's fusion scale they
+    warm-start the unified k-means, and net v finetunes toward its block
+    of columns (the shared net's block is all of them).
     """
     n_views = data.n_views
     mode = "shared" if len(models) < n_views else cfg.weighting_mode  # one net: the baseline
@@ -163,11 +165,9 @@ def _outer_loop(
         prev_labels = labels
 
         if mode == "shared":
-            # the fused matrix is the one net's latent, so the net trains
-            # against the unified centroids; there is nothing to score
+            # one net, so there is nothing to score
             cond = np.full(n_views, np.nan)
             nmis = np.full(n_views, np.nan)
-            centroids = [unified_centroids]
         else:
             # Conditional entropies are scored on the raw (unweighted)
             # latents; the weighted blocks would fold the previous weights
@@ -185,12 +185,12 @@ def _outer_loop(
                 )
                 nmis[v] = nmi(view_labels, labels)
             weights = update_weights(nmis, cond, cfg.weighting_mode)
-            centroids = view_centroids
         target = target_distribution(unified_soft)
 
+        # each net's block of the unified centroids, so its cluster j is the target's
         losses = np.array([
             finetune_view(model, x, target, c, cfg.train, cfg.seed)
-            for model, x, c in zip(models, inputs, centroids)
+            for model, x, c in zip(models, inputs, np.split(centers, len(models), axis=1))
         ])
 
         # the shared net's weight and loss fill every view's slot

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cemvc.pipeline as pipeline_module
+from cemvc.bench import PRESETS, preset_dataset
+from cemvc.clustering import soft_assign
 from cemvc.data import MultiViewDataset, synth_multiview
-from cemvc.model import TrainConfig, model_params
+from cemvc.model import TrainConfig, encode, model_params
 from cemvc.pipeline import (
     PipelineConfig,
     RoundTrace,
@@ -208,6 +210,26 @@ def test_a_non_finite_latent_stops_the_fit_before_finetuning(tiny_noisy, monkeyp
     with pytest.raises(ValueError, match="non-finite"):
         run_cemvc(tiny_noisy, tiny_cfg(tolerance=0.0, max_outer_iters=3))
     assert finetuned == list(range(n_views))  # round 0 only
+
+
+def test_each_view_finetunes_toward_centroids_in_the_targets_cluster_order(monkeypatch):
+    # a net's soft labels against the centroids it trains toward must name
+    # the target's clusters, or the clustering term pulls each point toward
+    # another cluster's centroid
+    preset = PRESETS["noisy3view"]
+    data = preset_dataset(preset, 0, noisy=False)
+    real_finetune = pipeline_module.finetune_view
+    agreement = []
+
+    def spy(model, x, target, centroids, cfg, seed):
+        q = soft_assign(encode(model, x), centroids)
+        agreement.append(np.mean(q.argmax(axis=1) == target.argmax(axis=1)))
+        return real_finetune(model, x, target, centroids, cfg, seed)
+
+    monkeypatch.setattr(pipeline_module, "finetune_view", spy)
+    run_cemvc(data, replace(preset.pipeline, tolerance=0.0, max_outer_iters=2))
+    assert len(agreement) == 2 * data.n_views
+    assert min(agreement) >= 0.9, agreement
 
 
 def test_fit_on_sparse_label_codes_scores_one_column_per_label(tiny_data):
