@@ -35,6 +35,11 @@ class MultiViewDataset:
             raise ValueError("dataset needs at least one view")
         self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
         for v, view in enumerate(self.views):
+            if view.ndim != 2 or 0 in view.shape:
+                raise ValueError(
+                    f"view {v} must be a 2-D matrix with at least one row and one column, "
+                    f"got shape {view.shape}"
+                )
             bad = np.argwhere(~np.isfinite(view))
             if bad.size:
                 raise ValueError(

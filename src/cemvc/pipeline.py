@@ -7,11 +7,9 @@ unified soft labels, score each view (conditional entropy + agreement with
 the unified labels), refresh the weights, sharpen the unified labels into
 a target, and finetune each view's autoencoder against that target.
 Weights produced at iteration t scale the fusion at iteration t+1. The
-unified centroids are kept divided by the fusion scale, in the nets' own
-coordinates: they warm-start the next round's k-means under the new
-weights, and each view finetunes toward its own block of them, so its
-cluster j is the target's cluster j. The shared baseline runs the same
-loop over one net with no scoring step.
+unified centroids, kept in the nets' own coordinates, warm-start the next
+round's k-means and give each view its finetuning centroids. The shared
+baseline runs the same loop over one net with no scoring step.
 """
 
 from __future__ import annotations
@@ -125,9 +123,10 @@ def _outer_loop(
     round. The shared baseline is the same loop over one net on the
     concatenated views: its single weight stays 1, so fusion is a copy of
     its latent, and nothing is scored. `centers` holds the unified centroids
-    in the nets' coordinates: times the next round's fusion scale they
-    warm-start the unified k-means, and net v finetunes toward its block
-    of columns (the shared net's block is all of them).
+    divided by the fusion scale, in the nets' coordinates: times the next
+    round's scale they warm-start the unified k-means, and net v finetunes
+    toward its block of columns (the shared net's block is all of them), so
+    its cluster j is the target's cluster j.
     """
     n_views = data.n_views
     mode = "shared" if len(models) < n_views else cfg.weighting_mode  # one net: the baseline
@@ -187,7 +186,6 @@ def _outer_loop(
             weights = update_weights(nmis, cond, cfg.weighting_mode)
         target = target_distribution(unified_soft)
 
-        # each net's block of the unified centroids, so its cluster j is the target's
         losses = np.array([
             finetune_view(model, x, target, c, cfg.train, cfg.seed)
             for model, x, c in zip(models, inputs, np.split(centers, len(models), axis=1))

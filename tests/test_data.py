@@ -77,7 +77,7 @@ def test_synth_rejects_bad_input(dims, separation, noise_dims, message):
         synth_multiview(60, 3, dims, separation, noise_dims=noise_dims)
 
 
-def test_inject_noise_appends_one_view_sharing_others():
+def test_noise_views_are_appended_after_the_informative_views_unchanged():
     clean = synth_multiview(60, 3, (5, 5), (6.0, 6.0), seed=4)
     noisy = synth_multiview(60, 3, (5, 5), (6.0, 6.0), noise_dims=(7,), seed=4)
     assert noisy.n_views == clean.n_views + 1
@@ -101,13 +101,13 @@ def test_noise_view_j_draws_from_seed_999_j(seed):
     assert data.views[1].tobytes() == legacy.tobytes()
 
 
-def test_inject_noise_is_label_independent():
+def test_noise_view_is_label_independent():
     data = synth_multiview(600, 3, (5, 5), (6.0, 6.0), noise_dims=(10,), seed=6)
     _, labels = kmeans(data.views[-1], 3, seed=8, n_init=4)
     assert mutual_information(labels, data.labels) <= 0.05
 
 
-def test_inject_noise_seeds_differ():
+def test_noise_views_differ_across_seeds_and_views():
     a = synth_multiview(40, 2, (5,), (6.0,), noise_dims=(5, 5), seed=1)
     b = synth_multiview(40, 2, (5,), (6.0,), noise_dims=(5, 5), seed=2)
     assert not np.array_equal(a.views[-1], b.views[-1])
@@ -117,6 +117,13 @@ def test_inject_noise_seeds_differ():
 def test_dataset_rejects_row_mismatch():
     with pytest.raises(ValueError, match="sample counts"):
         MultiViewDataset([np.zeros((3, 2)), np.zeros((4, 2))])
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 0), (0, 3), (10, 2, 2)])
+def test_dataset_rejects_a_view_that_is_not_a_non_empty_matrix(shape):
+    message = f"view 1 must be a 2-D matrix with at least one row and one column, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MultiViewDataset([np.zeros((10, 2)), np.zeros(shape)])
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
