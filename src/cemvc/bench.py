@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .data import MultiViewDataset, synth_multiview
-from .model import check_count
+from .numcore import check_count
 from .pipeline import ClusteringResult, PipelineConfig, run_ablation, run_shared_baseline
 from .weighting import WEIGHT_MODES
 

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numcore import as_labels, as_matrix
+
 
 @dataclass
 class MultiViewDataset:
@@ -33,35 +35,14 @@ class MultiViewDataset:
             raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.views:
             raise ValueError("dataset needs at least one view")
-        self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
-        for v, view in enumerate(self.views):
-            if view.ndim != 2 or 0 in view.shape:
-                raise ValueError(
-                    f"view {v} must be a 2-D matrix with at least one row and one column, "
-                    f"got shape {view.shape}"
-                )
-            bad = np.argwhere(~np.isfinite(view))
-            if bad.size:
-                raise ValueError(
-                    f"view {v} has a non-finite value at index {tuple(bad[0].tolist())}"
-                )
+        self.views = [as_matrix(view, f"view {v}") for v, view in enumerate(self.views)]
         rows = {v.shape[0] for v in self.views}
         if len(rows) != 1:
             raise ValueError(f"views have differing sample counts: {sorted(rows)}")
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.dtype.kind not in "iu":
-                values = labels.astype(np.float64)
-                bad = np.flatnonzero(~np.isfinite(values) | (values != np.rint(values)))
-                if bad.size:
-                    raise ValueError(
-                        f"label {labels.flat[bad[0]]!r} at index {bad[0]} is not an integer"
-                    )
-                labels = values
-            if labels.shape != (self.n_samples,):
-                raise ValueError(f"labels have shape {labels.shape}, expected ({self.n_samples},)")
-            # any integer coding (1-based, gaps, negatives) becomes classes 0..k-1
-            self.labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+            self.labels = as_labels(self.labels)
+            if self.labels.shape != (self.n_samples,):
+                raise ValueError(f"labels have shape {self.labels.shape}, expected ({self.n_samples},)")
 
     @property
     def n_samples(self) -> int:
@@ -234,11 +215,12 @@ def load_multiview(manifest_path) -> MultiViewDataset:
                 f"({views[0].shape[0]})"
             )
         labels = label_mat[:, 0]
-        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.rint(labels)))
-        if bad.size:
-            line = _line_of_row(label_path, int(bad[0]))
-            raise ValueError(f"{label_path}:{line}: label {labels[bad[0]]!r} is not an integer")
-    return MultiViewDataset(views, labels, name=name)
+    try:
+        return MultiViewDataset(views, labels, name=name)
+    except ValueError:
+        if labels is not None:  # name the file and line of a label that is not an integer
+            as_labels(labels, where=lambda i: f"{label_path}:{_line_of_row(label_path, i)}")
+        raise
 
 
 def write_csv(path, mat) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numcore import as_matrix
+from .numcore import as_labels, as_matrix
 
 SIGMA_FLOOR = 1e-6
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -171,22 +171,6 @@ def total_conditional_entropy(reps: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _as_labels(labels, name: str) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D label vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValueError(f"{name} contains non-integer labels")
-        arr = rounded.astype(np.int64)
-    if arr.min() < 0:
-        raise ValueError(f"{name} contains negative labels")
-    return arr.astype(np.int64)
-
-
 def _entropy_from_counts(counts: np.ndarray) -> float:
     total = counts.sum()
     p = counts[counts > 0] / total
@@ -194,18 +178,18 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
 
 
 def contingency_table(a, b, names: tuple[str, str] = ("a", "b")) -> np.ndarray:
-    """(k_a, k_b) counts of label pairs: entry (i, j) counts samples with a=i, b=j.
+    """(k_a, k_b) counts of label pairs: one row per code that occurs in `a` and one
+    column per code that occurs in `b`, each in sorted order.
 
-    Both inputs must be 1-D nonnegative integer label vectors of one length;
-    `names` label them in error messages.
+    Both are label vectors of one length, coded by `numcore.as_labels`; `names`
+    label them in error messages.
     """
-    a = _as_labels(a, names[0])
-    b = _as_labels(b, names[1])
+    a = as_labels(a, names[0])
+    b = as_labels(b, names[1])
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    ka = int(a.max()) + 1
     kb = int(b.max()) + 1
-    return np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+    return np.bincount(a * kb + b, minlength=(int(a.max()) + 1) * kb).reshape(-1, kb)
 
 
 def _table_entropies(table: np.ndarray) -> tuple[float, float, float]:

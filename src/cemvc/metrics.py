@@ -11,6 +11,9 @@ from .infometrics import contingency_table, nmi_from_table
 
 @dataclass
 class MetricReport:
+    """ACC and NMI, and the confusion table behind them: one row per predicted
+    code that occurs and one column per true code that occurs, in sorted order."""
+
     acc: float
     nmi: float
     confusion: np.ndarray  # (k_pred, k_true) counts

@@ -17,8 +17,6 @@ ICML 2016); keeping the reconstruction term while finetuning follows IDEC
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,24 +29,12 @@ from .numcore import (
     as_input,
     as_matrix,
     backward,
+    check_count,
+    check_real,
     forward,
     init_adam,
     init_dense_net,
 )
-
-
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """Reject a config count that is not an integer >= minimum; bools are not counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_real(name: str, value) -> None:
-    """Reject a config value that is not a finite real number; bools are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass

@@ -15,10 +15,15 @@ and its gradient vector there, so a step runs each matmul once and
 allocates no batch-sized arrays. The caller validates the input once, up
 front. adam_step updates a whole net's vector in one pass; AdamState is
 mutated only by adam_step, so a single training loop owns it.
+
+The one rule per kind of outside input lives here too: `as_matrix`,
+`as_labels`, `check_count` and `check_real`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +36,51 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject a config count that is not an integer >= minimum; bools are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject a config value that is not a finite real number; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 def as_matrix(values, name: str = "matrix") -> Array:
-    """Coerce to a finite 2-D float64 array."""
+    """Coerce to a finite 2-D float64 array with at least one row and one column."""
     out = np.asarray(values, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
+    if out.ndim != 2 or 0 in out.shape:
+        raise ValueError(
+            f"{name} must be a 2-D matrix with at least one row and one column, got shape {out.shape}"
+        )
     if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        index = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+        raise ValueError(f"{name} has a non-finite value at index {index}")
     return out
+
+
+def as_labels(values, name: str = "labels", where=None) -> Array:
+    """Classes 0..k-1, in the sorted order of the codes that occur, of a non-empty
+    1-D vector of integer-valued labels (ints, or floats or strings holding them).
+    A non-integer is reported at `name[index]`, or at `where(index)` if given."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D label vector, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} is empty")
+    if arr.dtype.kind not in "iu":
+        values = arr.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(values) | (values != np.rint(values)))
+        if bad.size:
+            i = int(bad[0])
+            place = f"{name}[{i}]" if where is None else where(i)
+            raise ValueError(f"{place}: label {arr[i]!r} is not an integer")
+        arr = values
+    return np.unique(arr, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
 def as_input(net: DenseNet, x, name: str = "input") -> Array:

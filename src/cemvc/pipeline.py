@@ -24,7 +24,8 @@ from .clustering import kmeans, soft_assign, target_distribution
 from .data import MultiViewDataset
 from .infometrics import nmi, total_conditional_entropy
 from .metrics import MetricReport, evaluate
-from .model import TrainConfig, ViewModel, check_count, check_real, encode, finetune_view, pretrain
+from .model import TrainConfig, ViewModel, encode, finetune_view, pretrain
+from .numcore import check_count, check_real
 from .weighting import WEIGHT_MODES, update_weights
 
 
@@ -100,10 +101,7 @@ def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool =
         raise ValueError(
             f"cannot form {cfg.n_clusters} clusters from {data.n_samples} samples"
         )
-    if cfg.standardize:
-        views = [_standardize_columns(v) for v in data.views]
-    else:
-        views = [np.asarray(v, dtype=np.float64) for v in data.views]
+    views = [_standardize_columns(v) for v in data.views] if cfg.standardize else data.views
     inputs = [np.hstack(views)] if shared else views
     return inputs, [
         pretrain(x, cfg.hidden_dims, cfg.latent_dim, cfg.train, cfg.seed, view_index=v)

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cemvc.infometrics import nmi
+from cemvc.infometrics import mutual_information, nmi
 from cemvc.metrics import (
     _matched_accuracy,
     _max_matched_total,
@@ -24,14 +25,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def exhaustive_accuracy(pred, truth):
     """Oracle: best matched fraction over all injective cluster-to-class maps."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    k_pred = int(pred.max()) + 1
-    k_true = int(truth.max()) + 1
     table = confusion_matrix(pred, truth)
-    k = max(k_pred, k_true)
+    k = max(table.shape)
     padded = np.zeros((k, k), dtype=table.dtype)
-    padded[:k_pred, :k_true] = table
+    padded[: table.shape[0], : table.shape[1]] = table
     best = 0
     for perm in itertools.permutations(range(k)):
         best = max(best, sum(padded[i, perm[i]] for i in range(k)))
@@ -179,3 +176,70 @@ def test_evaluate_accepts_result_like_objects():
 
     report = evaluate(Holder(), np.array([1, 0, 1, 0]))
     assert report.acc == 1.0
+
+
+# eight distinct int64 codes each: negative, sparse, up to +-10^12
+code_sets = st.lists(
+    st.integers(min_value=-(10**12), max_value=10**12), min_size=8, max_size=8, unique=True
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60),
+    code_sets,
+    code_sets,
+)
+@settings(max_examples=80, deadline=None)
+def test_scores_do_not_change_when_either_labeling_is_recoded(pairs, codes_a, codes_b):
+    a, b = (np.array(labels) for labels in zip(*pairs))
+    recoded_a = np.array(codes_a, dtype=np.int64)[a]
+    recoded_b = np.array(codes_b, dtype=np.int64)[b]
+    for x, y in ((recoded_a, b), (a, recoded_b), (recoded_a, recoded_b)):
+        # recoding may reorder the table's rows or columns, which changes
+        # only the order of the entropy sums
+        assert nmi(x, y) == pytest.approx(nmi(a, b), abs=1e-12)
+        assert mutual_information(x, y) == pytest.approx(mutual_information(a, b), abs=1e-12)
+        assert clustering_accuracy(x, y) == clustering_accuracy(a, b)
+        report = evaluate(x, y)
+        assert report.acc == clustering_accuracy(a, b)
+        assert report.nmi == pytest.approx(nmi(a, b), abs=1e-12)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_on_sparse_int64_codes_stays_below_one_megabyte():
+    rng = np.random.default_rng(11)
+    codes = np.array([-(10**12), -7, 5, 10**12], dtype=np.int64)
+    pred = codes[rng.integers(0, 4, size=500)]
+    truth = codes[::-1][rng.integers(0, 4, size=500)]
+    report, peak = traced_peak(lambda: evaluate(pred, truth))
+    assert peak < 1 << 20, peak
+    assert report.confusion.shape == (4, 4)
+    assert report.acc == clustering_accuracy(np.unique(pred, return_inverse=True)[1], truth)
+
+
+def test_accuracy_on_huge_codes_builds_one_row_per_code():
+    acc, peak = traced_peak(lambda: clustering_accuracy([0, 1, 10**12, 10**12], [0, 0, 1, 1]))
+    assert acc == 0.75
+    assert peak < 1 << 20, peak
+    assert confusion_matrix([0, 1, 10**12, 10**12], [0, 0, 1, 1]).tolist() == [[1, 0], [1, 0], [0, 2]]
+
+
+def test_negative_codes_are_labels_like_any_other():
+    assert nmi([-1, 1, -1, 1], [0, 1, 0, 1]) == 1.0
+    assert clustering_accuracy([-1, 1, -1, 1], [0, 1, 0, 1]) == 1.0
+
+
+def test_confusion_has_no_row_for_a_code_that_does_not_occur():
+    # cluster 1 is empty: the table keeps one row per cluster that occurs
+    report = evaluate([0, 2, 2, 0], [0, 1, 1, 0])
+    assert report.confusion.tolist() == [[2, 0], [0, 2]]
+    assert report.acc == 1.0
+    assert report.nmi == 1.0

@@ -220,7 +220,7 @@ def test_finetune_rejects_bad_target_shape():
         finetune_view(model, x, np.zeros((10, 3)), np.zeros((4, 2)), cfg)
     with pytest.raises(ValueError, match="5 columns but the first layer expects 4"):
         finetune_view(model, np.zeros((10, 5)), np.zeros((10, 3)), np.zeros((3, 2)), cfg)
-    with pytest.raises(ValueError, match="target contains non-finite"):
+    with pytest.raises(ValueError, match=r"target has a non-finite value at index \(0, 0\)"):
         finetune_view(model, x, np.full((10, 3), np.nan), np.zeros((3, 2)), cfg)
 
 

@@ -1,13 +1,19 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from cemvc.clustering import kmeans, soft_assign
+from cemvc.data import MultiViewDataset
+from cemvc.infometrics import kde_entropy, total_conditional_entropy
 from cemvc.numcore import (
     DenseNet,
     Workspace,
     adam_step,
+    as_labels,
+    as_matrix,
     backward,
     forward,
     init_adam,
@@ -270,3 +276,67 @@ def test_copied_net_layers_view_the_new_vector(clone):
 def test_dense_net_rejects_bad_construction(dims, params, match):
     with pytest.raises(ValueError, match=match):
         DenseNet(dims, params)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: kde_entropy(m),
+        lambda m: total_conditional_entropy([m, m]),
+        lambda m: kmeans(m, 1),
+        lambda m: soft_assign(m, np.zeros((2, m.shape[1]))),
+        lambda m: MultiViewDataset([m]),
+    ],
+    ids=["kde_entropy", "total_conditional_entropy", "kmeans", "soft_assign", "dataset"],
+)
+def test_a_matrix_without_rows_or_columns_is_rejected_everywhere(call, shape):
+    message = f"must be a 2-D matrix with at least one row and one column, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(np.zeros(shape))
+
+
+def test_as_matrix_names_the_first_non_finite_cell():
+    x = np.zeros((3, 2))
+    x[1, 1] = np.inf
+    x[2, 0] = np.nan
+    with pytest.raises(ValueError, match=re.escape("points has a non-finite value at index (1, 1)")):
+        as_matrix(x, "points")
+    assert as_matrix([[1, 2]]).dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "labels, expected",
+    [
+        ([3, 1, 7, 3], [1, 0, 2, 1]),
+        ([-1, 1, -1, 1], [0, 1, 0, 1]),
+        ([10**12, -(10**12), 0], [2, 0, 1]),
+        ([2.0, 0.0, 2.0], [1, 0, 1]),
+        (["5", "-2.0", "5"], [1, 0, 1]),
+        (np.array([4, 4], dtype=np.uint8), [0, 0]),
+    ],
+)
+def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
+    out = as_labels(labels)
+    assert out.tolist() == expected
+    assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1.5], "labels[1]: label np.float64(1.5) is not an integer"),
+        ([np.nan, 1], "labels[0]: label np.float64(nan) is not an integer"),
+        ([], "labels is empty"),
+        ([[0, 1]], "labels must be a 1-D label vector, got shape (1, 2)"),
+    ],
+    ids=["fraction", "nan", "empty", "2-d"],
+)
+def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_labels(labels)
+
+
+def test_as_labels_reports_a_non_integer_where_the_caller_says():
+    with pytest.raises(ValueError, match=re.escape("row 3: label np.float64(0.5) is not an integer")):
+        as_labels([1, 2, 0.5], where=lambda i: f"row {i + 1}")
