@@ -206,13 +206,17 @@ def pretrain(
     return model
 
 
-def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig, seed: int = 0) -> float:
+def finetune_view(
+    model: ViewModel, x, target, centroids, cfg: TrainConfig, seed: int = 0, round_index: int = 0
+) -> float:
     """Run finetune_steps_per_round combined-loss steps on this view only, in place.
 
     Returns the loss of one full-batch step at the finetuned parameters,
     whatever the batch size; a non-finite step loss raises, this one is
     returned as it is. Centroids stay frozen for the whole round. With
     clustering_weight == 0 the target and centroids are never read.
+    Mini-batches are drawn from (seed, 103, view_index, round_index), so
+    each outer round has its own batch order.
     """
     lam = cfg.clustering_weight
     x = as_input(model.encoder, x, "view data")
@@ -226,7 +230,7 @@ def finetune_view(model: ViewModel, x, target, centroids, cfg: TrainConfig, seed
                 f"centroids have shape {centroids.shape}, expected "
                 f"({target.shape[1]}, {model.latent_dim})"
             )
-    batch_rng = np.random.default_rng((seed, 103, model.view_index))
+    batch_rng = np.random.default_rng((seed, 103, model.view_index, round_index))
     _train(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
         lambda step: f"finetuning loss at step {step}",

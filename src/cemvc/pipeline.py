@@ -185,7 +185,7 @@ def _outer_loop(
         target = target_distribution(unified_soft)
 
         losses = np.array([
-            finetune_view(model, x, target, c, cfg.train, cfg.seed)
+            finetune_view(model, x, target, c, cfg.train, cfg.seed, t)
             for model, x, c in zip(models, inputs, np.split(centers, len(models), axis=1))
         ])
 

@@ -250,12 +250,12 @@ def test_criterion_9_parameter_decoupling(monkeypatch):
             digest.update(p.tobytes())
         return digest.hexdigest()
 
-    def spy(model, x, target, centroids, cfg, seed):
+    def spy(model, x, target, centroids, cfg, seed, round_index):
         nonlocal calls
         calls += 1
         seen[model.view_index] = model
         before = {v: checksum(m) for v, m in seen.items() if v != model.view_index}
-        out = real_finetune(model, x, target, centroids, cfg, seed)
+        out = real_finetune(model, x, target, centroids, cfg, seed, round_index)
         for v, digest in before.items():
             if checksum(seen[v]) != digest:
                 violations.append((model.view_index, v))

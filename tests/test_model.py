@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cemvc.clustering as clustering_module
+import cemvc.model as model_module
 from cemvc.clustering import soft_assign
 from cemvc.numcore import adam_step, forward, init_adam
 from cemvc.model import (
@@ -507,6 +508,38 @@ def test_pretrain_and_finetune_params_equal_reference(batch_size):
     finetune_view(model, x, target, centroids, cfg, seed=36)
     ref_finetune(ref, x, target, centroids, cfg, seed=36)
     assert_bit_equal(model_params(model), model_params(ref))
+
+
+@pytest.mark.parametrize("batch_size", [16, None])
+def test_each_round_draws_its_own_batch_order(monkeypatch, batch_size):
+    x, target, centroids = clustered_view(seed=38)
+    start = jittered_model(12, (9,), 3, seed=39)
+    cfg = TrainConfig(finetune_steps_per_round=5, batch_size=batch_size, clustering_weight=0.2)
+    real_stream = model_module._batch_stream
+    batches = []
+
+    def recording_stream(n, size, rng):
+        for idx in real_stream(n, size, rng):
+            batches.append(np.arange(n)[idx])
+            yield idx
+
+    monkeypatch.setattr(model_module, "_batch_stream", recording_stream)
+    params, orders = [], []
+    for round_index in (0, 1):
+        model = copy.deepcopy(start)
+        batches.clear()
+        finetune_view(model, x, target, centroids, cfg, seed=7, round_index=round_index)
+        params.append(model_params(model))
+        orders.append(np.concatenate(batches))
+    if batch_size is None:
+        # no order to draw, so both rounds finetune alike, bit for bit
+        assert_bit_equal(params[0], params[1])
+    else:
+        # 70 rows in 5 batches of up to 16: one epoch in each round's own order
+        for round_index, order in enumerate(orders):
+            expected = np.random.default_rng((7, 103, start.view_index, round_index)).permutation(70)
+            assert np.array_equal(order, expected)
+        assert not np.array_equal(orders[0], orders[1])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])

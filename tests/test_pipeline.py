@@ -122,12 +122,12 @@ def test_parameter_disjointness_through_full_run(tiny_data, monkeypatch):
             digest.update(p.tobytes())
         return digest.hexdigest()
 
-    def spying_finetune(model, x, target, centroids, cfg, seed):
+    def spying_finetune(model, x, target, centroids, cfg, seed, round_index):
         models_seen[model.view_index] = model
         others = {
             v: checksum(m) for v, m in models_seen.items() if v != model.view_index
         }
-        out = real_finetune(model, x, target, centroids, cfg, seed)
+        out = real_finetune(model, x, target, centroids, cfg, seed, round_index)
         for v, before in others.items():
             assert checksum(models_seen[v]) == before, (
                 f"finetuning view {model.view_index} moved view {v}'s parameters"
@@ -221,10 +221,10 @@ def test_each_view_finetunes_toward_centroids_in_the_targets_cluster_order(monke
     real_finetune = pipeline_module.finetune_view
     agreement = []
 
-    def spy(model, x, target, centroids, cfg, seed):
+    def spy(model, x, target, centroids, cfg, seed, round_index):
         q = soft_assign(encode(model, x), centroids)
         agreement.append(np.mean(q.argmax(axis=1) == target.argmax(axis=1)))
-        return real_finetune(model, x, target, centroids, cfg, seed)
+        return real_finetune(model, x, target, centroids, cfg, seed, round_index)
 
     monkeypatch.setattr(pipeline_module, "finetune_view", spy)
     run_cemvc(data, replace(preset.pipeline, tolerance=0.0, max_outer_iters=2))
