@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numcore import as_labels, as_matrix
+from .numcore import as_labels, as_matrix, check_count, check_real
 
 
 @dataclass
@@ -76,23 +76,22 @@ def synth_multiview(
     a noise view changes neither the informative views nor earlier noise
     views.
     """
-    dims = [int(d) for d in dims]
-    seps = [float(s) for s in separation]
-    noise_dims = [int(d) for d in noise_dims]
+    dims, seps, noise_dims = list(dims), list(separation), list(noise_dims)
     if not dims:
         raise ValueError("need at least one informative view")
     if len(seps) != len(dims):
         raise ValueError(f"got {len(dims)} view dims but {len(seps)} separations")
-    if n_clusters < 1:
-        raise ValueError("need at least one cluster")
+    check_count("n_samples", n_samples)
+    check_count("n_clusters", n_clusters)
     if n_samples < 2 * n_clusters:
         raise ValueError(f"need at least {2 * n_clusters} samples for {n_clusters} clusters")
-    if any(d < 1 for d in dims):
-        raise ValueError("view dimensions must be >= 1")
-    if any(s <= 0 for s in seps):
-        raise ValueError("separation must be positive")
-    if any(d < 1 for d in noise_dims):
-        raise ValueError("noise view dimensions must be >= 1")
+    for v, (d, sep) in enumerate(zip(dims, seps)):
+        check_count(f"dims[{v}]", d)
+        check_real(f"separation[{v}]", sep)
+        if sep <= 0:
+            raise ValueError(f"separation[{v}] must be positive, got {sep}")
+    for j, d in enumerate(noise_dims):
+        check_count(f"noise_dims[{j}]", d)
     rng = np.random.default_rng(seed)
     base = np.arange(n_samples) % n_clusters  # exactly balanced when K | N
     labels = rng.permutation(base)

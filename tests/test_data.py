@@ -62,19 +62,30 @@ def test_synth_rejects_tiny_sample_count():
 
 
 @pytest.mark.parametrize(
-    "dims, separation, noise_dims, message",
+    "n_samples, n_clusters, dims, separation, noise_dims, message",
     [
-        ((4, 4), (6.0,), (), "2 view dims but 1 separations"),
-        ((), (), (), "at least one informative view"),
-        ((4, 0), (6.0, 6.0), (), "view dimensions must be >= 1"),
-        ((4, 4), (6.0, 0.0), (), "separation must be positive"),
-        ((4, 4), (6.0, 6.0), (5, 0), "noise view dimensions must be >= 1"),
+        (60, 3, (4, 4), (6.0,), (), "2 view dims but 1 separations"),
+        (60, 3, (), (), (), "at least one informative view"),
+        (60, 3, (4, 0), (6.0, 6.0), (), r"dims\[1\] must be >= 1, got 0"),
+        (60, 3, (4, 4), (6.0, 0.0), (), r"separation\[1\] must be positive, got 0.0"),
+        (60, 3, (4, 4), (6.0, 6.0), (5, 0), r"noise_dims\[1\] must be >= 1, got 0"),
+        (60, 3, (6.7, 4.2), (6.0, 6.0), (), r"dims\[0\] must be an integer, got 6.7"),
+        (60, 3, (4, 4), (True, 6.0), (), r"separation\[0\] must be a finite real number, got True"),
+        (60, 3, (4, 4), (6.0, np.inf), (), r"separation\[1\] must be a finite real number, got inf"),
+        (60, 3, (4, 4), (6.0, 6.0), (5, 2.5), r"noise_dims\[1\] must be an integer, got 2.5"),
+        (60.0, 3, (4, 4), (6.0, 6.0), (), "n_samples must be an integer, got 60.0"),
+        (60, 0, (4, 4), (6.0, 6.0), (), "n_clusters must be >= 1, got 0"),
+        (60, True, (4, 4), (6.0, 6.0), (), "n_clusters must be an integer, got True"),
     ],
-    ids=["dims-vs-separation", "no-views", "zero-dim", "zero-sep", "zero-noise-dim"],
+    ids=[
+        "dims-vs-separation", "no-views", "zero-dim", "zero-sep", "zero-noise-dim",
+        "float-dims", "bool-sep", "inf-sep", "float-noise-dim", "float-n-samples",
+        "zero-clusters", "bool-clusters",
+    ],
 )
-def test_synth_rejects_bad_input(dims, separation, noise_dims, message):
+def test_synth_rejects_bad_input(n_samples, n_clusters, dims, separation, noise_dims, message):
     with pytest.raises(ValueError, match=message):
-        synth_multiview(60, 3, dims, separation, noise_dims=noise_dims)
+        synth_multiview(n_samples, n_clusters, dims, separation, noise_dims=noise_dims)
 
 
 def test_noise_views_are_appended_after_the_informative_views_unchanged():
