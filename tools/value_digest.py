@@ -10,9 +10,11 @@ The first line names the numpy version and the BLAS thread setting; then
 comes one line per fit, `method variant seed config sha256`. The hash covers
 the labels, soft labels, embedding, ACC, NMI, confusion table and every
 `RoundTrace` field. The 36 fits are on `noisy3view`, seeds 0-2, clean and
-noisy: with the preset config, `run_ablation`'s three modes and
-`run_shared_baseline`; with a mini-batch config (`tolerance=0`,
-`max_outer_iters=3`, `batch_size=64`), `run_cemvc` and `run_shared_baseline`.
+noisy: first the 24 of `bench.grid` with the preset config (`run_ablation`'s
+three modes and `run_shared_baseline`), then 12 with a mini-batch config
+(`tolerance=0`, `max_outer_iters=3`, `batch_size=64`), `run_cemvc` and
+`run_shared_baseline`. To compare with a digest that lists its fits in
+another order, sort both: `diff <(sort a) <(sort b)`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cemvc.bench import PRESETS, VARIANTS, preset_dataset  # noqa: E402
-from cemvc.pipeline import ClusteringResult, RoundTrace, run_ablation, run_cemvc, run_shared_baseline  # noqa: E402
+from cemvc.bench import PRESETS, VARIANTS, grid, preset_dataset  # noqa: E402
+from cemvc.pipeline import ClusteringResult, RoundTrace, run_cemvc, run_shared_baseline  # noqa: E402
 
 SEEDS = range(3)
 
@@ -57,13 +59,13 @@ def digest(result: ClusteringResult) -> str:
 def fits():
     """(method, variant, seed, config, result) for each of the 36 fits."""
     preset = PRESETS["noisy3view"]
+    for fit in grid(preset, len(SEEDS)):
+        yield fit.method, fit.variant, fit.seed, "preset", fit.result
     for seed in SEEDS:
-        cfg = replace(preset.pipeline, seed=seed)
-        mini = replace(cfg, tolerance=0.0, max_outer_iters=3, train=replace(cfg.train, batch_size=64))
+        cfg = replace(preset.pipeline, seed=seed, tolerance=0.0, max_outer_iters=3)
+        mini = replace(cfg, train=replace(cfg.train, batch_size=64))
         for variant in VARIANTS:
             data = preset_dataset(preset, seed, variant == "noisy")
-            for method, result in {**run_ablation(data, cfg), "shared": run_shared_baseline(data, cfg)}.items():
-                yield method, variant, seed, "preset", result
             yield mini.weighting_mode, variant, seed, "minibatch", run_cemvc(data, mini)
             yield "shared", variant, seed, "minibatch", run_shared_baseline(data, mini)
 
