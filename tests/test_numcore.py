@@ -324,18 +324,18 @@ def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
 @pytest.mark.parametrize(
     "labels, message",
     [
-        ([0, 1.5], "labels[1]: label np.float64(1.5) is not an integer"),
-        ([np.nan, 1], "labels[0]: label np.float64(nan) is not an integer"),
-        ([], "labels is empty"),
-        ([[0, 1]], "labels must be a 1-D label vector, got shape (1, 2)"),
+        ([0, 1.5], r"^labels\[1\]: label .*1\.5\)? is not an integer$"),
+        ([np.nan, 1], r"^labels\[0\]: label .*nan\)? is not an integer$"),
+        ([], r"^labels is empty$"),
+        ([[0, 1]], r"^labels must be a 1-D label vector, got shape \(1, 2\)$"),
     ],
     ids=["fraction", "nan", "empty", "2-d"],
 )
 def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=message):
         as_labels(labels)
 
 
 def test_as_labels_reports_a_non_integer_where_the_caller_says():
-    with pytest.raises(ValueError, match=re.escape("row 3: label np.float64(0.5) is not an integer")):
+    with pytest.raises(ValueError, match=r"^row 3: label .*0\.5\)? is not an integer$"):
         as_labels([1, 2, 0.5], where=lambda i: f"row {i + 1}")
