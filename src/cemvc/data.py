@@ -104,7 +104,9 @@ def synth_multiview(
     return MultiViewDataset(views, labels, name=name)
 
 
-def _read_numeric_csv(path: Path) -> np.ndarray:
+def _read_numeric_csv(path: Path, dtype=np.float64) -> np.ndarray:
+    """The file's rows as a 2-D array of `dtype`; a file that is not all
+    `dtype` text is read as float64 instead."""
     if not path.is_file():
         raise FileNotFoundError(f"missing data file: {path}")
     try:
@@ -112,9 +114,11 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
             # an empty file is reported below, not as numpy's warning
             warnings.simplefilter("ignore", UserWarning)
             mat = np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, dtype=np.float64, encoding="utf-8"
+                path, delimiter=",", ndmin=2, comments=None, dtype=dtype, encoding="utf-8"
             )
     except ValueError as err:
+        if dtype is not np.float64:
+            return _read_numeric_csv(path)
         _locate_bad_line(path)
         raise ValueError(f"{path}: {err}") from None
     if mat.shape[0] == 0:
@@ -203,7 +207,8 @@ def load_multiview(manifest_path) -> MultiViewDataset:
     labels = None
     if label_file:
         label_path = base / label_file
-        label_mat = _read_numeric_csv(label_path)
+        # integer codes are read exactly: through float64, codes above 2**53 would merge
+        label_mat = _read_numeric_csv(label_path, np.int64)
         if label_mat.shape[1] != 1:
             raise ValueError(
                 f"{label_path}: label file must have one column, got {label_mat.shape[1]}"

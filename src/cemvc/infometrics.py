@@ -21,6 +21,9 @@ from .numcore import as_labels, as_matrix
 SIGMA_FLOOR = 1e-6
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_CELLS = 1 << 18  # 2 MiB of float64, about one L2; `_view_entropies` sizes its blocks from it
+# Below this, an unshifted kernel sum is redone shifted: its largest term may be
+# subnormal or zero. log(1e-250) is about -575.6.
+TINY_SUM = 1e-250
 
 
 def _floored_sigma(samples: np.ndarray) -> np.ndarray:
@@ -54,6 +57,19 @@ def _entropy_from_log_sums(log_sums: np.ndarray, h: np.ndarray) -> float:
     return float(-log_density.mean())
 
 
+def _scaled_distances(out: np.ndarray, dot: np.ndarray, z: np.ndarray, half_sq_norm: np.ndarray, rows, cols) -> None:
+    """-0.5 * max(|z_i - z_j|^2, 0) into `out` for rows i and columns j, with
+    `half_sq_norm` = 0.5 * |z|^2; `dot` is scratch of `out`'s shape.
+
+    Halving and doubling are exact, so given the same dot products this
+    rounds as the dense estimator's -0.5 * max((|z_i|^2 + |z_j|^2) - 2 z_i.z_j, 0)
+    does, in two fewer passes."""
+    np.add(half_sq_norm[rows, None], half_sq_norm[None, cols], out=out)
+    np.matmul(z[rows], z[cols].T, out=dot)
+    np.subtract(dot, out, out=out)
+    np.minimum(out, 0.0, out=out)
+
+
 def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out KDE entropy of each view and of each pair of views.
 
@@ -62,22 +78,25 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     whose (v, u) entry is the joint entropy of the column concatenation
     [view v, view u]; its diagonal is zero.
 
-    The n x n kernel matrices are never formed. The rows are walked once,
-    in blocks held by V + 2 buffers that every block reuses.
-    Per block, each view's scaled distances S_v = -0.5 * max(D_v, 0), with
-    its own sample at -inf, repeat the dense estimator's operations in the
-    same order. So a marginal value equals the dense one bit for bit when
-    all n rows fit in one block: numpy sends that block's z[0:n] @ z.T to
-    syrk, as it does the full z @ z.T. With several blocks, a proper row
-    block z[s:e] @ z.T goes to gemm (one row: gemv), which may round a dot
-    product differently, so the marginal is only within a relative 1e-12 of
-    the dense one (about one ulp was seen); it is bit-equal where the BLAS
-    rounds alike.
-    Silverman's joint bandwidth of a column of view v is its marginal one
-    divided by a constant, so the joint block is r_v * S_v + r_u * S_u with
-    r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)). A joint value
-    therefore equals the dense estimator on the concatenation up to
-    summation order.
+    The n x n kernel matrices are never formed. Each view's scaled distances
+    S_v = -0.5 * max(D_v, 0), with each row's own sample at -inf, are made in
+    row blocks held by V + 2 buffers that every block reuses. Silverman's
+    joint bandwidth of a column of view v is its marginal one divided by a
+    constant, so a joint block is r_v * S_v + r_u * S_u with
+    r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)), and no pair of
+    views is concatenated.
+
+    The kernel term exp(S(i, j)) is the same in row i's sum and in row j's,
+    so the sweep is triangular: row block [s, e) is scored only against
+    columns [s, n). Its row sums go to rows s..e-1, and its column sums over
+    columns e..n-1 go to those later rows. Every S is <= 0, so the terms are
+    summed with no shift, and each log-sum is the log of its sum. A row
+    whose sum for any quantity is below TINY_SUM (a nearest neighbour more
+    than about 575 nats away, where the terms lose precision or underflow)
+    is done again against all n columns with the shifted `_logsumexp_rows`.
+
+    The sums are added in another order than the dense n x n estimator's,
+    so every value, marginal or joint, is within a relative 1e-12 of it.
     """
     n = mats[0].shape[0]
     if n < 2:
@@ -89,62 +108,72 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     # Centering is a no-op for the estimator but keeps the pairwise
     # distances well conditioned for large offsets.
     zs = [(m - m.mean(axis=0)) / h for m, h in zip(mats, hs)]
-    sq_norms = [np.einsum("ij,ij->i", z, z) for z in zs]
+    half_sq_norms = [0.5 * np.einsum("ij,ij->i", z, z) for z in zs]
     pairs = list(combinations(range(n_views), 2))
 
     def ratio(v, u):
         return n ** (2.0 / (4.0 + dims[v] + dims[u]) - 2.0 / (4.0 + dims[v]))
 
-    # The block buffers get what the per-row arrays (z, norms, log-sums)
-    # leave of 2 * _BLOCK_CELLS cells, but never less than half of it: at
-    # large n the per-row arrays dominate memory anyway, and thinner blocks
-    # would only add per-block overhead.
+    # The block buffers get what the per-row arrays (z, norms, sums) leave
+    # of 2 * _BLOCK_CELLS cells, but never less than half of it: at large n
+    # the per-row arrays dominate memory anyway, and thinner blocks would
+    # only add per-block overhead.
     row_cells = (sum(dims) + 2 * n_views + len(pairs)) * n
     block_cells = max(2 * _BLOCK_CELLS - row_cells, _BLOCK_CELLS)
     rows = max(1, min(n, block_cells // ((n_views + 2) * n)))
-    marginal_sums = np.empty((n_views, n))
-    joint_sums = np.empty((len(pairs), n))
     # one buffer per view, a product buffer and a joint buffer, so the
     # allocator is not asked for fresh pages per block
-    buffers = np.empty((n_views + 2, rows, n))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        blocks = buffers[:, : e - s]
+    buffers = np.empty((n_views + 2, rows * n))
+
+    def exponents(row_idx, start, own):
+        """Yield (q, S_q) from rows `row_idx` to columns start..n-1, first for the
+        joints of `pairs` (q = V + p), then for the V marginals (q = v), with
+        row k's own sample, column `own[k]`, at -inf. The joints are made
+        from the marginal blocks, so the caller may overwrite what it gets."""
+        r, w = len(own), n - start
+        blocks = buffers[:, : r * w].reshape(-1, r, w)
         dot, joint = blocks[n_views], blocks[n_views + 1]
         for v in range(n_views):
-            blk, z = blocks[v], zs[v]
-            # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j, in the dense estimator's order
-            np.add(sq_norms[v][s:e, None], sq_norms[v][None, :], out=blk)
-            np.matmul(z[s:e], z.T, out=dot)
-            dot *= 2.0
-            blk -= dot
-            np.maximum(blk, 0.0, out=blk)
-            blk.reshape(-1)[s :: n + 1] = np.inf  # each row's own sample
-            blk *= -0.5
-        # joints first: the marginal log-sum-exp overwrites its block
+            _scaled_distances(blocks[v], dot, zs[v], half_sq_norms[v], row_idx, slice(start, None))
+            blocks[v][np.arange(r), own] = -np.inf
         for p, (v, u) in enumerate(pairs):
             np.multiply(blocks[v], ratio(v, u), out=joint)
             np.multiply(blocks[u], ratio(u, v), out=dot)
             joint += dot
-            joint_sums[p, s:e] = _logsumexp_rows(joint)
+            yield n_views + p, joint
         for v in range(n_views):
-            marginal_sums[v, s:e] = _logsumexp_rows(blocks[v])
-    marginal = np.array([_entropy_from_log_sums(sums, h) for sums, h in zip(marginal_sums, hs)])
+            yield v, blocks[v]
+
+    sums = np.zeros((n_views + len(pairs), n))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        for q, block in exponents(slice(s, e), s, np.arange(e - s)):
+            np.exp(block, out=block)
+            sums[q, s:e] += block.sum(axis=1)
+            sums[q, e:] += block[:, e - s :].sum(axis=0)
+    redo = np.flatnonzero((sums < TINY_SUM).any(axis=0))
+    sums[:, redo] = 1.0  # their logs are overwritten below
+    log_sums = np.log(sums, out=sums)
+    for s in range(0, redo.size, rows):
+        idx = redo[s : s + rows]
+        for q, block in exponents(idx, 0, idx):
+            log_sums[q, idx] = _logsumexp_rows(block)
+    marginal = np.array([_entropy_from_log_sums(log_sums[v], h) for v, h in enumerate(hs)])
     joint = np.zeros((n_views, n_views))
     for p, (v, u) in enumerate(pairs):
         d = dims[v] + dims[u]
         h = np.concatenate([_silverman(sigmas[v], n, d), _silverman(sigmas[u], n, d)])
-        joint[v, u] = joint[u, v] = _entropy_from_log_sums(joint_sums[p], h)
+        joint[v, u] = joint[u, v] = _entropy_from_log_sums(log_sums[n_views + p], h)
     return marginal, joint
 
 
 def kde_entropy(samples) -> float:
     """Leave-one-out kernel-density entropy of an (n, d) sample matrix.
 
-    Computed in row blocks (see `_view_entropies`), so memory is
-    O(n * block) rather than O(n^2). The value equals the dense n x n
-    estimator's bit for bit when the n rows fit in one block, and within a
-    relative 1e-12 when they span several.
+    Computed by the triangular, unshifted row-block sweep of
+    `_view_entropies`, so memory is O(n * block) rather than O(n^2), with
+    rows whose nearest neighbour is far away done again shifted. The value
+    is within a relative 1e-12 of the dense n x n estimator's.
     """
     x = as_matrix(samples, "samples")
     return float(_view_entropies([x])[0][0])

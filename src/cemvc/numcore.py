@@ -66,12 +66,18 @@ def as_matrix(values, name: str = "matrix") -> Array:
 def as_labels(values, name: str = "labels", where=None) -> Array:
     """Classes 0..k-1, in the sorted order of the codes that occur, of a non-empty
     1-D vector of integer-valued labels (ints, or floats or strings holding them).
+    Strings that all hold integers are read exactly, not through float64.
     A non-integer is reported at `name[index]`, or at `where(index)` if given."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D label vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
+    if arr.dtype.kind in "US":
+        try:
+            arr = arr.astype(np.int64)
+        except (ValueError, OverflowError):  # "2.0", "nan" or beyond int64: the float path below
+            pass
     if arr.dtype.kind not in "iu":
         values = arr.astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(values) | (values != np.rint(values)))

@@ -235,6 +235,21 @@ def test_load_remaps_labels_to_contiguous_classes(tmp_path):
     assert data.labels.dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "label_text, expected",
+    [
+        # through float64 both codes read as 2**53 and would merge
+        ("9007199254740993\n9007199254740992\n9007199254740993\n1\n", [2, 1, 2, 0]),
+        ("1.0\n2\n\n-1.0\n2\n", [1, 2, 0, 2]),
+    ],
+    ids=["above_2_53", "float_text"],
+)
+def test_load_reads_integer_label_text_exactly(tmp_path, label_text, expected):
+    data = load_multiview(write_labelled(tmp_path, label_text))
+    assert data.labels.tolist() == expected
+    assert data.labels.dtype == np.int64
+
+
 @pytest.mark.parametrize("cell", ["1.5", "nan", "inf"])
 def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell):
     # the blank line is not a data row but still counts as a file line

@@ -62,7 +62,7 @@ def dense_kde_entropy(x):
     It reads nothing from the program: Silverman's bandwidths (sigma floored
     at 1e-6) and the row log-sum-exp are written out here. The log-sum-exp
     takes one maximal cell per row out of the sum s and returns
-    log1p(s) + max, the recipe the sweep uses, so ties round alike.
+    log1p(s) + max, the recipe of `_logsumexp_rows`.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -109,16 +109,63 @@ EQUALITY_CASES = {
 }
 
 
+# The sweep adds each row's kernel terms unshifted and in another order than
+# the dense estimator, so every value matches it to a tolerance. It was fixed
+# before any run, at about 1e4 times the drift measured on 4 views.
+JOINT_RTOL = JOINT_ATOL = 1e-12
+
+
 @pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
 def test_kde_entropy_equals_dense_reference_bit_for_bit(case):
+    # The name predates the triangular sweep; the values now match to
+    # JOINT_RTOL (the duplicate_rows case differs in its last bit).
     x = EQUALITY_CASES[case]()
-    assert kde_entropy(x) == dense_kde_entropy(x)
+    np.testing.assert_allclose(kde_entropy(x), dense_kde_entropy(x), rtol=JOINT_RTOL, atol=0)
 
 
-def test_kde_entropy_single_row_blocks_equal_dense_reference(monkeypatch):
+def test_kde_entropy_single_row_blocks_match_dense_reference(monkeypatch):
     x = _normal(37, 3, 29)
     monkeypatch.setattr(infometrics, "_BLOCK_CELLS", 1)
-    assert kde_entropy(x) == dense_kde_entropy(x)
+    np.testing.assert_allclose(kde_entropy(x), dense_kde_entropy(x), rtol=JOINT_RTOL, atol=0)
+
+
+def isolated_rows(n, d, offsets, seed):
+    """n N(0, 1) rows, then one row per offset: far enough out that its
+    unshifted kernel sums underflow to zero."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.standard_normal((n, d)), rng.standard_normal((len(offsets), d)) + offsets])
+
+
+FAR_ROW_CASES = {
+    "d1_one_row_at_1e4": lambda: isolated_rows(1000, 1, np.array([[1e4]]), 33),
+    "d2_three_rows_1e5_apart": lambda: isolated_rows(500, 2, 1e5 * np.array([[1, 0], [0, 1], [1, 1]]), 34),
+}
+
+
+@pytest.fixture()
+def shifted_rows(monkeypatch):
+    """Counts the rows that `_view_entropies` sends to the shifted log-sum-exp."""
+    seen = []
+
+    def spy(a):
+        seen.append(a.shape[0])
+        return logsumexp_rows(a)
+
+    logsumexp_rows = infometrics._logsumexp_rows
+    monkeypatch.setattr(infometrics, "_logsumexp_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(FAR_ROW_CASES))
+def test_far_rows_are_redone_shifted_and_match_dense_reference(case, shifted_rows):
+    x = FAR_ROW_CASES[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = kde_entropy(x)
+        expected = dense_kde_entropy(x)
+    assert sum(shifted_rows) == np.count_nonzero(np.abs(x).max(axis=1) > 1e3)
+    assert np.isfinite(est)
+    np.testing.assert_allclose(est, expected, rtol=JOINT_RTOL, atol=0)
 
 
 # A row whose maximum is tied keeps the tied cells in the sum as exp(0) = 1,
@@ -171,24 +218,14 @@ def test_logsumexp_rows_matches_scipy_property(seed, rows, cols, scale, offset, 
     assert_logsumexp_rows_match_scipy(a)
 
 
-# The joint terms are summed in another order than the dense estimator on
-# the concatenated views, so they match it to a tolerance. It was fixed
-# before any run, at about 1e4 times the drift measured on 4 views.
-JOINT_RTOL = JOINT_ATOL = 1e-12
-
-
-def assert_matches_dense_reference(views, marginal_rtol=0.0):
-    """Marginals equal the dense oracle bit for bit (or to `marginal_rtol`),
-    joints match it to JOINT_RTOL, and total_conditional_entropy is exactly
-    the sum of the sweep's terms."""
+def assert_matches_dense_reference(views):
+    """Marginals and joints match the dense oracle to JOINT_RTOL, and
+    total_conditional_entropy is exactly the sum of the sweep's terms."""
     n_views = len(views)
     marginal, joint = infometrics._view_entropies(views)
     expected_marginal = [dense_kde_entropy(x) for x in views]
     assert marginal.shape == (n_views,)
-    if marginal_rtol:
-        np.testing.assert_allclose(marginal, expected_marginal, rtol=marginal_rtol, atol=0)
-    else:
-        assert marginal.tolist() == expected_marginal
+    np.testing.assert_allclose(marginal, expected_marginal, rtol=JOINT_RTOL, atol=0)
     assert joint.shape == (n_views, n_views)
     assert np.array_equal(joint, joint.T)
     assert not np.diag(joint).any()
@@ -214,12 +251,32 @@ VIEW_CASES = {
     "duplicate_rows": lambda: [np.vstack([_normal(150, d, 42 + d)] * 2) for d in (2, 3, 4)],
     "unequal_d": lambda: [_normal(250, 1, 45), _normal(250, 16, 46)],
     "n1201_many_blocks": lambda: [_normal(1201, 8, 47 + v) for v in range(4)],
+    # only the first view's far row takes the shifted path, in its marginal
+    # and in both of its joints
+    "far_row_in_one_view": lambda: [FAR_ROW_CASES["d1_one_row_at_1e4"](), _normal(1001, 2, 48)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(VIEW_CASES))
 def test_view_entropies_match_dense_reference(case):
-    assert_matches_dense_reference(VIEW_CASES[case]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_matches_dense_reference(VIEW_CASES[case]())
+
+
+def test_view_entropies_agree_across_block_sizes(monkeypatch):
+    # With 4 views a block takes (4 + 2) * n cells per row, so these give
+    # blocks of 1 row, 3 rows, the default's 286 rows and all 301 rows.
+    n = 301
+    views = [_normal(n, d, 70 + d) for d in (1, 2, 3, 5)]
+    results = []
+    for block_cells in (1, 3 * 6 * n, infometrics._BLOCK_CELLS, 6 * n * n):
+        monkeypatch.setattr(infometrics, "_BLOCK_CELLS", block_cells)
+        results.append(infometrics._view_entropies(views))
+    for marginal, joint in results:
+        assert np.array_equal(joint, joint.T)
+        np.testing.assert_allclose(marginal, results[0][0], rtol=JOINT_RTOL, atol=0)
+        np.testing.assert_allclose(joint, results[0][1], rtol=JOINT_RTOL, atol=0)
 
 
 SWEEP_N = 37
@@ -227,10 +284,7 @@ SWEEP_N = 37
 
 @pytest.mark.parametrize("block_cells", [1, 3 * SWEEP_N, 15 * SWEEP_N, 60 * SWEEP_N])
 def test_kde_entropy_multi_block_inputs_match_dense_reference_to_joint_rtol(monkeypatch, block_cells):
-    # These block sizes give blocks of 1 to n rows. A proper row block's
-    # product is a BLAS gemm (one row: gemv), which need not round as the
-    # dense z @ z.T (syrk) does, so some of these 96 marginals differ from
-    # the oracle in their last bits; the bound is the joint tolerance.
+    # These block sizes give blocks of 1 to n rows.
     monkeypatch.setattr(infometrics, "_BLOCK_CELLS", block_cells)
     for d in range(1, 17):
         for seed in range(6):
@@ -240,11 +294,7 @@ def test_kde_entropy_multi_block_inputs_match_dense_reference_to_joint_rtol(monk
 
 def test_view_entropies_single_row_blocks_match_dense_reference(monkeypatch):
     monkeypatch.setattr(infometrics, "_BLOCK_CELLS", 1)
-    # A one-row block's product is a BLAS matrix-vector call, which need not
-    # add up a d=2 dot product in the order of the dense z @ z.T; the d=2
-    # marginal differs from the oracle in its last bit here, and so does
-    # kde_entropy on that view alone. So the marginals get the joint tolerance.
-    assert_matches_dense_reference([_normal(37, d, 50 + d) for d in (1, 3, 2)], marginal_rtol=JOINT_RTOL)
+    assert_matches_dense_reference([_normal(37, d, 50 + d) for d in (1, 3, 2)])
 
 
 @given(

@@ -313,6 +313,8 @@ def test_as_matrix_names_the_first_non_finite_cell():
         ([2.0, 0.0, 2.0], [1, 0, 1]),
         (["5", "-2.0", "5"], [1, 0, 1]),
         (np.array([4, 4], dtype=np.uint8), [0, 0]),
+        # integer text is read exactly: through float64 these two codes are one
+        (["9007199254740992", "9007199254740993"], [0, 1]),
     ],
 )
 def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):

@@ -35,6 +35,18 @@ def test_digest_is_equal_for_equal_fits_and_sees_one_flipped_bit(value_digest):
     assert a.traces  # so the trace fields are hashed
     assert value_digest.digest(a) == value_digest.digest(b)
 
+    assert value_digest.outcome(a) == value_digest.outcome(b)
+
+    # one flipped embedding bit changes the full hash but not the outcome
     embedding = a.embedding.copy()
     embedding.view(np.uint64)[0, 0] ^= 1
-    assert value_digest.digest(replace(a, embedding=embedding)) != value_digest.digest(a)
+    flipped = replace(a, embedding=embedding)
+    assert value_digest.digest(flipped) != value_digest.digest(a)
+    assert value_digest.outcome(flipped) == value_digest.outcome(a)
+
+    # one changed label changes both
+    labels = a.labels.copy()
+    labels[0] = (labels[0] + 1) % 3
+    relabelled = replace(a, labels=labels)
+    assert value_digest.digest(relabelled) != value_digest.digest(a)
+    assert value_digest.outcome(relabelled) != value_digest.outcome(a)

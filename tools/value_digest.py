@@ -7,14 +7,19 @@ lacks it) and `diff` the two outputs. It imports `cemvc` from the `src/`
 beside it and takes no options.
 
 The first line names the numpy version and the BLAS thread setting; then
-comes one line per fit, `method variant seed config sha256`. The hash covers
-the labels, soft labels, embedding, ACC, NMI, confusion table and every
-`RoundTrace` field. The 36 fits are on `noisy3view`, seeds 0-2, clean and
-noisy: first the 24 of `bench.grid` with the preset config (`run_ablation`'s
-three modes and `run_shared_baseline`), then 12 with a mini-batch config
-(`tolerance=0`, `max_outer_iters=3`, `batch_size=64`), `run_cemvc` and
-`run_shared_baseline`. To compare with a digest that lists its fits in
-another order, sort both: `diff <(sort a) <(sort b)`.
+comes one line per fit, `method variant seed config sha256 outcome`. The
+first hash covers the labels, soft labels, embedding, ACC, NMI, confusion
+table and every `RoundTrace` field. The second, `outcome`, covers only what
+the fit decides: labels, ACC, NMI, confusion table and round count. So a
+change that moves only the trace's or embedding's last bits shows equal
+outcomes while its first hash differs. The 36 fits are on `noisy3view`,
+seeds 0-2, clean and noisy: first the 24 of `bench.grid` with the preset
+config (`run_ablation`'s three modes and `run_shared_baseline`), then 12
+with a mini-batch config (`tolerance=0`, `max_outer_iters=3`,
+`batch_size=64`), `run_cemvc` and `run_shared_baseline`. To compare with a digest that lists its fits in
+another order, sort both: `diff <(sort a) <(sort b)`. Older copies of the
+tool print no outcome hash; compare their first hash with
+`diff <(cut -d' ' -f1-5 a) <(cut -d' ' -f1-5 b)`.
 """
 
 from __future__ import annotations
@@ -43,17 +48,28 @@ from cemvc.pipeline import ClusteringResult, RoundTrace, run_cemvc, run_shared_b
 SEEDS = range(3)
 
 
-def digest(result: ClusteringResult) -> str:
-    """sha256 over a fit's values, each with its dtype and shape."""
+def _sha256(values) -> str:
+    """sha256 over values, each with its dtype and shape."""
     h = hashlib.sha256()
-    values = [result.labels, result.soft_labels, result.embedding, result.metrics.acc,
-              result.metrics.nmi, result.metrics.confusion, len(result.traces)]
-    values += [getattr(trace, f.name) for trace in result.traces for f in fields(RoundTrace)]
     for value in values:
         a = np.asarray(value)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def digest(result: ClusteringResult) -> str:
+    """sha256 over every value of a fit."""
+    values = [result.labels, result.soft_labels, result.embedding, result.metrics.acc,
+              result.metrics.nmi, result.metrics.confusion, len(result.traces)]
+    values += [getattr(trace, f.name) for trace in result.traces for f in fields(RoundTrace)]
+    return _sha256(values)
+
+
+def outcome(result: ClusteringResult) -> str:
+    """sha256 over what a fit decides: labels, ACC, NMI, confusion table and round count."""
+    m = result.metrics
+    return _sha256([result.labels, m.acc, m.nmi, m.confusion, len(result.traces)])
 
 
 def fits():
@@ -74,7 +90,7 @@ def main() -> None:
     threads = " ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS)
     print(f"# numpy {np.__version__} {threads}", flush=True)
     for method, variant, seed, config, result in fits():
-        print(method, variant, seed, config, digest(result), flush=True)
+        print(method, variant, seed, config, digest(result), outcome(result), flush=True)
 
 
 if __name__ == "__main__":
