@@ -7,9 +7,9 @@ Subcommands:
            cemvc and the shared baseline, each on clean and noisy data
 
 Every run writes into a fresh timestamped directory under --out, made only
-once the fits have finished, and never overwrites earlier output. Report
-contents carry no timestamps, so reruns with identical inputs and seed are
-byte-identical.
+once the fits have finished, and never overwrites earlier output; an --out
+that cannot hold a directory fails before any fit. Report contents carry no
+timestamps, so reruns with identical inputs and seed are byte-identical.
 
 Config files are JSON; flags override file values, file values override
 defaults. The keys are the fields of `PipelineConfig`, with those of
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import PRESETS, rows_to_csv, summarize
-from .data import load_multiview, save_multiview, synth_multiview, write_csv
+from .data import load_multiview, read_json_object, save_multiview, synth_multiview, write_csv
 from .model import TrainConfig
 from .pipeline import (
     ClusteringResult,
@@ -48,12 +48,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"missing config file: {p}")
-    with open(p, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{p}: config must be a JSON object")
+    raw = read_json_object(p, "config file")
     unknown = set(raw) - set(_PIPELINE_KEYS) - {"train"}
     if unknown:
         raise ValueError(f"{p}: unknown config keys {sorted(unknown)}")
@@ -102,6 +97,15 @@ def _result_block(result: ClusteringResult, embedding_file: str) -> dict:
     }
 
 
+def _check_out_root(out: str) -> None:
+    """Fail before any fit unless `out` can hold a run directory: the nearest
+    existing path among `out` and its parents must be a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def _new_run_dir(out_root: Path, prefix: str) -> Path:
     out_root.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -133,6 +137,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_out_root(args.out)
     data = load_multiview(args.data)
     file_cfg = _load_config_file(args.config)
     hint = int(data.labels.max()) + 1 if data.labels is not None else None
@@ -174,6 +179,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_out_root(args.out)
     preset = PRESETS[args.preset]
     rows = summarize(preset, args.seeds)
     run_dir = _new_run_dir(Path(args.out), f"bench-{args.preset}")

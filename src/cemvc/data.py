@@ -8,7 +8,8 @@ sorted order, whether it is loaded or built in memory. Manifest keys:
     {"name": str, "views": [relative csv paths], "labels": path or null}
 
 Paths are resolved relative to the manifest's directory. A missing name
-means "dataset". A bad cell or label is reported as `file:line`.
+means "dataset". A bad cell or label is reported as `file:line`. Files
+are read as UTF-8 with or without a byte-order mark, and written without.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _read_numeric_csv(path: Path, dtype=np.float64) -> np.ndarray:
             # an empty file is reported below, not as numpy's warning
             warnings.simplefilter("ignore", UserWarning)
             mat = np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, dtype=dtype, encoding="utf-8"
+                path, delimiter=",", ndmin=2, comments=None, dtype=dtype, encoding="utf-8-sig"
             )
     except ValueError as err:
         if dtype is not np.float64:
@@ -136,7 +137,7 @@ def _locate_bad_line(path: Path) -> None:
     """
     n_cols = None
     blank_at = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
@@ -159,7 +160,7 @@ def _locate_bad_line(path: Path) -> None:
 
 def _line_of_row(path: Path, row: int) -> int:
     """1-based line number of data row `row` (0-based); blank lines are not rows."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         data_lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
         return next(itertools.islice(data_lines, row, None))
 
@@ -172,15 +173,25 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; errors name the file as `what`."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"missing {what}: {path}")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: {what} is not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
 def load_multiview(manifest_path) -> MultiViewDataset:
     """Load a dataset from its manifest, validating shapes along the way."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     base = manifest_path.parent
     view_paths = manifest.get("views")
     if not isinstance(view_paths, list) or not view_paths or not all(isinstance(p, str) for p in view_paths):

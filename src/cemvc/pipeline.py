@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,8 +93,9 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
 
 
 def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
-    """Check the data; return the views as the nets see them (concatenated if `shared`)
-    and a net pretrained on each, which depends only on its input, the config and the seed."""
+    """Check the data; return the views as the nets see them (concatenated if `shared`), a net
+    pretrained on each (a function of its input, the config and the seed) and the seconds taken."""
+    start = time.perf_counter()
     if data.n_views < 2:
         raise ValueError(f"need at least 2 views, got {data.n_views}")
     if data.n_samples < cfg.n_clusters:
@@ -103,31 +104,31 @@ def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool =
         )
     views = [_standardize_columns(v) for v in data.views] if cfg.standardize else data.views
     inputs = [np.hstack(views)] if shared else views
-    return inputs, [
+    models = [
         pretrain(x, cfg.hidden_dims, cfg.latent_dim, cfg.train, cfg.seed, view_index=v)
         for v, x in enumerate(inputs)
     ]
+    return inputs, models, time.perf_counter() - start
 
 
 def _outer_loop(
-    start: float, data: MultiViewDataset, cfg: PipelineConfig,
-    inputs: list[np.ndarray], models: list[ViewModel],
+    data: MultiViewDataset, cfg: PipelineConfig, mode: str,
+    inputs: list[np.ndarray], models: list[ViewModel], pretrain_s: float,
 ) -> ClusteringResult:
-    """The outer loop of both methods, finetuning `models` in place. The result's
-    `seconds` count from the `time.perf_counter()` reading `start`; it comes first,
-    so a caller reads the clock before the arguments that pretrain or copy nets.
+    """The outer loop of both methods, finetuning `models` in place; the result's
+    `seconds` are `pretrain_s` plus the loop's own.
 
-    The decoupled run trains one net per view and reweights the views every
-    round. The shared baseline is the same loop over one net on the
-    concatenated views: its single weight stays 1, so fusion is a copy of
-    its latent, and nothing is scored. `centers` holds the unified centroids
-    divided by the fusion scale, in the nets' coordinates: times the next
-    round's scale they warm-start the unified k-means, and net v finetunes
+    With `mode` a weighting mode, this is the decoupled run: one net per view,
+    the views reweighted every round. With `mode` "shared" it is the baseline:
+    one net on the concatenated views, whose single weight stays 1, so fusion
+    is a copy of its latent, and nothing is scored. `centers` holds the unified
+    centroids divided by the fusion scale, in the nets' coordinates: times the
+    next round's scale they warm-start the unified k-means, and net v finetunes
     toward its block of columns (the shared net's block is all of them), so
     its cluster j is the target's cluster j.
     """
+    start = time.perf_counter()
     n_views = data.n_views
-    mode = "shared" if len(models) < n_views else cfg.weighting_mode  # one net: the baseline
     k = cfg.n_clusters
     weights = np.ones(len(inputs))
 
@@ -158,7 +159,8 @@ def _outer_loop(
         converged = prev_labels is not None and change < cfg.tolerance
         if converged or t >= cfg.max_outer_iters:
             metrics = evaluate(labels, data.labels) if data.labels is not None else None
-            return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode, time.perf_counter() - start)
+            seconds = pretrain_s + time.perf_counter() - start
+            return ClusteringResult(labels, unified_soft, traces, metrics, fused, mode, seconds)
         prev_labels = labels
 
         if mode == "shared":
@@ -181,7 +183,7 @@ def _outer_loop(
                     n_init=cfg.kmeans_restarts,
                 )
                 nmis[v] = nmi(view_labels, labels)
-            weights = update_weights(nmis, cond, cfg.weighting_mode)
+            weights = update_weights(nmis, cond, mode)
         target = target_distribution(unified_soft)
 
         losses = np.array([
@@ -205,7 +207,7 @@ def _outer_loop(
 
 def run_cemvc(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
     """Full parameter-decoupled run with adaptive view weighting."""
-    return _outer_loop(time.perf_counter(), data, cfg, *_pretrain_inputs(data, cfg))
+    return _outer_loop(data, cfg, cfg.weighting_mode, *_pretrain_inputs(data, cfg))
 
 
 def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> ClusteringResult:
@@ -216,18 +218,14 @@ def run_shared_baseline(data: MultiViewDataset, cfg: PipelineConfig) -> Clusteri
     per-view shape: weights are all 1, entropy/agreement slots are nan, and
     the shared combined loss is replicated across views.
     """
-    return _outer_loop(time.perf_counter(), data, cfg, *_pretrain_inputs(data, cfg, shared=True))
+    return _outer_loop(data, cfg, "shared", *_pretrain_inputs(data, cfg, shared=True))
 
 
 def run_ablation(data: MultiViewDataset, cfg: PipelineConfig) -> dict[str, ClusteringResult]:
-    """The decoupled run once per weighting mode, each finetuning a copy of one
-    pretraining; each mode's `seconds` count that pretraining, as if it ran alone."""
-    start = time.perf_counter()
-    inputs, models = _pretrain_inputs(data, cfg)
-    pretrain_s = time.perf_counter() - start
+    """The decoupled run in every weighting mode, whatever `cfg.weighting_mode` says, each on a
+    copy of one pretraining; its `seconds` count that pretraining as if it ran alone, not the copy."""
+    inputs, models, pretrain_s = _pretrain_inputs(data, cfg)
     return {
-        mode: _outer_loop(
-            time.perf_counter() - pretrain_s, data, replace(cfg, weighting_mode=mode), inputs, copy.deepcopy(models)
-        )
+        mode: _outer_loop(data, cfg, mode, inputs, copy.deepcopy(models), pretrain_s)
         for mode in WEIGHT_MODES
     }

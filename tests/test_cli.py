@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cemvc.bench import PRESETS, preset_dataset
-from cemvc.cli import main
+from cemvc.cli import _load_config_file, main
 from cemvc.data import load_multiview, save_multiview
 from cemvc.pipeline import PipelineConfig, RoundTrace
 
@@ -312,6 +312,48 @@ def test_run_with_a_non_finite_cell_names_file_and_line_and_makes_no_run_dir(
     assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", fast_config(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {view}:4: non-finite value {cell} in column 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", ["manifest", "config"])
+def test_run_names_the_file_that_is_not_valid_json(dataset_dir, tmp_path, capsys, broken):
+    paths = {"manifest": dataset_dir / "manifest.json", "config": fast_config(tmp_path)}
+    paths[broken].write_text('{"views": ["view_0.csv", ')
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", paths["manifest"], "--out", out, "--config", paths["config"]) == 1
+    what = "manifest" if broken == "manifest" else "config file"
+    assert capsys.readouterr().err.startswith(f"error: {paths[broken]}: {what} is not valid JSON: ")
+    assert not out.exists()
+
+
+def test_bom_prefixed_config_loads_equal_to_its_plain_twin(tmp_path):
+    plain = fast_config(tmp_path, weighting_mode="nmi")
+    bom = tmp_path / "bom.json"
+    bom.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+    assert _load_config_file(str(bom)) == _load_config_file(str(plain))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_out_that_cannot_hold_a_directory_fails_before_any_fit(
+    dataset_dir, tmp_path, capsys, monkeypatch, command, below
+):
+    import cemvc.cli as cli_module
+
+    fits = []
+    monkeypatch.setattr(cli_module, "run_cemvc", lambda *a: fits.append(a))
+    monkeypatch.setattr(cli_module, "summarize", lambda *a: fits.append(a))
+    blocker = tmp_path / "notadir"
+    blocker.write_text("keep me\n")
+    out = blocker / "runs" if below else blocker
+    args = {
+        "run": ("run", "--data", dataset_dir / "manifest.json", "--config", fast_config(tmp_path)),
+        "bench": ("bench", "--seeds", 1),
+    }[command]
+    assert run_cli(*args, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert fits == []
+    assert blocker.read_text() == "keep me\n"
+    assert not below or not out.exists()
 
 
 def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):

@@ -304,6 +304,42 @@ def test_load_missing_file_names_it(tmp_path):
         load_multiview(tmp_path / "manifest.json")
 
 
+BOM = "\ufeff".encode("utf-8")  # what Excel's "CSV UTF-8" puts before the first byte
+
+
+def test_bom_prefixed_files_load_equal_to_their_plain_twins(tmp_path):
+    data = synth_multiview(30, 3, (4, 2), (6.0, 6.0), seed=5, name="twin")
+    plain = save_multiview(data, tmp_path / "plain")
+    (tmp_path / "bom").mkdir()
+    for path in plain.parent.iterdir():
+        (tmp_path / "bom" / path.name).write_bytes(BOM + path.read_bytes())
+    a, b = load_multiview(plain), load_multiview(tmp_path / "bom" / plain.name)
+    assert b.name == a.name == "twin"
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.views, b.views))
+    assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("oops", ":3: non-numeric value 'oops'"), ("nan", ":3: non-finite value nan")],
+    ids=["non-numeric", "non-finite"],
+)
+def test_bad_cell_in_a_bom_prefixed_csv_is_reported_at_its_line(tmp_path, cell, message):
+    (tmp_path / "v0.csv").write_bytes(BOM + f"1,2\n3,4\n5,{cell}\n".encode())
+    (tmp_path / "manifest.json").write_text(json.dumps({"views": ["v0.csv"]}))
+    with pytest.raises(ValueError) as err:
+        load_multiview(tmp_path / "manifest.json")
+    assert str(err.value).startswith(f"{tmp_path / 'v0.csv'}{message}")
+
+
+def test_load_rejects_a_manifest_that_is_not_valid_json(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"views": [')
+    with pytest.raises(ValueError) as err:
+        load_multiview(path)
+    assert str(err.value).startswith(f"{path}: manifest is not valid JSON: ")
+
+
 # bit patterns that save_multiview -> load_multiview must keep: signed
 # zero, subnormals, the extremes of float64, and 17-digit mantissas
 _ROUND_TRIP = np.array([

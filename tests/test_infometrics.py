@@ -116,9 +116,7 @@ JOINT_RTOL = JOINT_ATOL = 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
-def test_kde_entropy_equals_dense_reference_bit_for_bit(case):
-    # The name predates the triangular sweep; the values now match to
-    # JOINT_RTOL (the duplicate_rows case differs in its last bit).
+def test_kde_entropy_matches_dense_reference(case):
     x = EQUALITY_CASES[case]()
     np.testing.assert_allclose(kde_entropy(x), dense_kde_entropy(x), rtol=JOINT_RTOL, atol=0)
 

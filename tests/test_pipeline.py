@@ -290,7 +290,7 @@ def test_ablation_pretrains_each_view_once_and_equals_standalone_runs(tiny_noisy
     monkeypatch.undo()
 
     # every mode has finetuned its copies; the pretrained originals are untouched
-    _, fresh = _pretrain_inputs(tiny_noisy, cfg)
+    _, fresh, _ = _pretrain_inputs(tiny_noisy, cfg)
     for original, again in zip(made, fresh):
         for p, q in zip(model_params(original), model_params(again)):
             assert np.array_equal(p, q)
@@ -302,12 +302,22 @@ def test_seconds_include_the_pretraining_each_fit_used(tiny_noisy, slow_pretrain
     # every weighting mode of the ablation is charged the one shared pretraining
     cfg = tiny_cfg(max_outer_iters=1)
     n_views = tiny_noisy.n_views
+    assert _pretrain_inputs(tiny_noisy, cfg)[2] >= slow_pretrain * n_views
     assert run_cemvc(tiny_noisy, cfg).seconds >= slow_pretrain * n_views
     assert run_shared_baseline(tiny_noisy, cfg).seconds >= slow_pretrain
     results = run_ablation(tiny_noisy, cfg)
     assert set(results) == set(WEIGHT_MODES)
     for result in results.values():
         assert result.seconds >= slow_pretrain * n_views
+
+
+def test_ablation_ignores_the_configured_weighting_mode(tiny_noisy):
+    cfg = tiny_cfg(seed=1, max_outer_iters=2, tolerance=0.0)
+    by_nmi = run_ablation(tiny_noisy, replace(cfg, weighting_mode="nmi"))
+    by_enmi_ce = run_ablation(tiny_noisy, replace(cfg, weighting_mode="enmi_ce"))
+    assert list(by_nmi) == list(by_enmi_ce) == list(WEIGHT_MODES)
+    for mode in WEIGHT_MODES:
+        assert_same_fit(by_nmi[mode], by_enmi_ce[mode])
 
 
 def test_ablation_modes_agree_on_easy_symmetric_data(tiny_data):
