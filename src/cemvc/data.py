@@ -8,8 +8,10 @@ sorted order, whether it is loaded or built in memory. Manifest keys:
     {"name": str, "views": [relative csv paths], "labels": path or null}
 
 Paths are resolved relative to the manifest's directory. A missing name
-means "dataset". A bad cell or label is reported as `file:line`. Files
-are read as UTF-8 with or without a byte-order mark, and written without.
+means "dataset". The loader reads; `MultiViewDataset` and `numcore` check,
+told where each row lives: a bad cell or label fails at `file:line`, a
+length mismatch at the manifest. Files are UTF-8 with or without a
+byte-order mark (written without); other bytes fail naming the file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +40,9 @@ class MultiViewDataset:
         if not self.views:
             raise ValueError("dataset needs at least one view")
         self.views = [as_matrix(view, f"view {v}") for v, view in enumerate(self.views)]
-        rows = {v.shape[0] for v in self.views}
-        if len(rows) != 1:
-            raise ValueError(f"views have differing sample counts: {sorted(rows)}")
+        if len({v.shape[0] for v in self.views}) != 1:
+            detail = ", ".join(f"view {v}: {x.shape[0]} rows" for v, x in enumerate(self.views))
+            raise ValueError(f"views have differing sample counts ({detail})")
         if self.labels is not None:
             self.labels = as_labels(self.labels)
             if self.labels.shape != (self.n_samples,):
@@ -108,8 +111,7 @@ def synth_multiview(
 def _read_numeric_csv(path: Path, dtype=np.float64) -> np.ndarray:
     """The file's rows as a 2-D array of `dtype`; a file that is not all
     `dtype` text is read as float64 instead."""
-    if not path.is_file():
-        raise FileNotFoundError(f"missing data file: {path}")
+    _check_file(path, "data file")
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, not as numpy's warning
@@ -117,6 +119,8 @@ def _read_numeric_csv(path: Path, dtype=np.float64) -> np.ndarray:
             mat = np.loadtxt(
                 path, delimiter=",", ndmin=2, comments=None, dtype=dtype, encoding="utf-8-sig"
             )
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     except ValueError as err:
         if dtype is not np.float64:
             return _read_numeric_csv(path)
@@ -158,11 +162,19 @@ def _locate_bad_line(path: Path) -> None:
         raise ValueError(f"{path}:{blank_at}: line holds only whitespace")
 
 
-def _line_of_row(path: Path, row: int) -> int:
-    """1-based line number of data row `row` (0-based); blank lines are not rows."""
+def _place_of_row(path: Path, row: int) -> str:
+    """`file:line` of data row `row` (0-based); blank lines are not rows."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         data_lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(data_lines, row, None))
+        return f"{path}:{next(itertools.islice(data_lines, row, None))}"
+
+
+def _check_file(path: Path, what: str) -> None:
+    """FileNotFoundError if nothing is at `path`, ValueError if it is not a file."""
+    if not path.is_file():
+        if not path.exists():
+            raise FileNotFoundError(f"missing {what}: {path}")
+        raise ValueError(f"{path}: not a file, expected a {what}")
 
 
 def _is_float(cell: str) -> bool:
@@ -176,11 +188,12 @@ def _is_float(cell: str) -> bool:
 def read_json_object(path, what: str) -> dict:
     """The JSON object in the file at `path`; errors name the file as `what`."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing {what}: {path}")
+    _check_file(path, what)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {what} is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {what} is not valid JSON: {err}") from None
     if not isinstance(obj, dict):
@@ -189,7 +202,7 @@ def read_json_object(path, what: str) -> dict:
 
 
 def load_multiview(manifest_path) -> MultiViewDataset:
-    """Load a dataset from its manifest, validating shapes along the way."""
+    """Load a dataset from its manifest; each file is checked in full before lengths are."""
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
     base = manifest_path.parent
@@ -202,40 +215,20 @@ def load_multiview(manifest_path) -> MultiViewDataset:
     name = manifest.get("name", "dataset")
     if not isinstance(name, str):
         raise ValueError(f'{manifest_path}: "name" must be a string, got {name!r}')
-    views = [_read_numeric_csv(base / p) for p in view_paths]
-    for p, view in zip(view_paths, views):
-        bad = np.argwhere(~np.isfinite(view))
-        if bad.size:
-            row, col = bad[0].tolist()
-            line = _line_of_row(base / p, row)
-            raise ValueError(f"{base / p}:{line}: non-finite value {view[row, col]} in column {col + 1}")
-    counts = {v.shape[0] for v in views}
-    if len(counts) != 1:
-        detail = ", ".join(
-            f"{p}: {v.shape[0]} rows" for p, v in zip(view_paths, views)
-        )
-        raise ValueError(f"view row counts disagree ({detail})")
+    paths = [base / p for p in view_paths]
+    views = [as_matrix(_read_numeric_csv(p), where=partial(_place_of_row, p)) for p in paths]
     labels = None
     if label_file:
         label_path = base / label_file
         # integer codes are read exactly: through float64, codes above 2**53 would merge
         label_mat = _read_numeric_csv(label_path, np.int64)
         if label_mat.shape[1] != 1:
-            raise ValueError(
-                f"{label_path}: label file must have one column, got {label_mat.shape[1]}"
-            )
-        if label_mat.shape[0] != views[0].shape[0]:
-            raise ValueError(
-                f"label rows ({label_mat.shape[0]}) disagree with view rows "
-                f"({views[0].shape[0]})"
-            )
-        labels = label_mat[:, 0]
+            raise ValueError(f"{label_path}: label file must have one column, got {label_mat.shape[1]}")
+        labels = as_labels(label_mat[:, 0], where=partial(_place_of_row, label_path))
     try:
         return MultiViewDataset(views, labels, name=name)
-    except ValueError:
-        if labels is not None:  # name the file and line of a label that is not an integer
-            as_labels(labels, where=lambda i: f"{label_path}:{_line_of_row(label_path, i)}")
-        raise
+    except ValueError as err:
+        raise ValueError(f"{manifest_path}: {err}") from None
 
 
 def write_csv(path, mat) -> None:

@@ -50,24 +50,28 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def as_matrix(values, name: str = "matrix") -> Array:
-    """Coerce to a finite 2-D float64 array with at least one row and one column."""
+def as_matrix(values, name: str = "matrix", where=None) -> Array:
+    """Coerce to a finite 2-D float64 array with at least one row and one column. A
+    non-finite cell is reported at `name` and its index, or at `where(row)` and its column."""
     out = np.asarray(values, dtype=np.float64)
     if out.ndim != 2 or 0 in out.shape:
         raise ValueError(
             f"{name} must be a 2-D matrix with at least one row and one column, got shape {out.shape}"
         )
     if not np.isfinite(out).all():
-        index = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
-        raise ValueError(f"{name} has a non-finite value at index {index}")
+        row, col = np.argwhere(~np.isfinite(out))[0].tolist()
+        if where is not None:
+            raise ValueError(f"{where(row)}: non-finite value {out[row, col]} in column {col + 1}")
+        raise ValueError(f"{name} has a non-finite value at index {(row, col)}")
     return out
 
 
 def as_labels(values, name: str = "labels", where=None) -> Array:
     """Classes 0..k-1, in the sorted order of the codes that occur, of a non-empty
     1-D vector of integer-valued labels (ints, or floats or strings holding them).
-    Strings that all hold integers are read exactly, not through float64.
-    A non-integer is reported at `name[index]`, or at `where(index)` if given."""
+    Strings that all hold integers are read exactly; other labels are read as floats,
+    which keep integers apart only below 2**53 in magnitude, so larger ones are refused.
+    A bad label is reported at `name[index]`, or at `where(index)` if given."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D label vector, got shape {arr.shape}")
@@ -80,11 +84,13 @@ def as_labels(values, name: str = "labels", where=None) -> Array:
             pass
     if arr.dtype.kind not in "iu":
         values = arr.astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(values) | (values != np.rint(values)))
+        not_int = ~np.isfinite(values) | (values != np.rint(values))
+        bad = np.flatnonzero(not_int | (np.abs(values) >= 2.0**53))
         if bad.size:
             i = int(bad[0])
             place = f"{name}[{i}]" if where is None else where(i)
-            raise ValueError(f"{place}: label {arr[i]!r} is not an integer")
+            big = "is 2**53 or more in magnitude, where floats merge integers; write int64 codes"
+            raise ValueError(f"{place}: label {arr[i]!r} {'is not an integer' if not_int[i] else big}")
         arr = values
     return np.unique(arr, return_inverse=True)[1].astype(np.int64, copy=False)
 

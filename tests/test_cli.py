@@ -325,6 +325,65 @@ def test_run_names_the_file_that_is_not_valid_json(dataset_dir, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("broken", ["view", "labels", "manifest", "config"])
+def test_run_names_the_file_that_is_not_utf8(dataset_dir, tmp_path, capsys, broken):
+    paths = {
+        "view": dataset_dir / "view_1.csv",
+        "labels": dataset_dir / "labels.csv",
+        "manifest": dataset_dir / "manifest.json",
+        "config": fast_config(tmp_path),
+    }
+    text = paths[broken].read_bytes()
+    paths[broken].write_bytes(text[:1] + "é".encode("latin-1") + text[1:])  # 0xe9 alone is not UTF-8
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", paths["manifest"], "--out", out, "--config", paths["config"]) == 1
+    what = {"manifest": "manifest is ", "config": "config file is "}.get(broken, "")
+    assert capsys.readouterr().err.startswith(f"error: {paths[broken]}: {what}not UTF-8 text: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", ["manifest", "config", "view", "labels"])
+def test_run_says_a_directory_given_for_a_file_is_not_a_file(dataset_dir, tmp_path, capsys, given):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    manifest = dataset_dir / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    if given == "view":
+        entries["views"][1] = str(folder)
+    elif given == "labels":
+        entries["labels"] = str(folder)
+    manifest.write_text(json.dumps(entries))
+    data = folder if given == "manifest" else manifest
+    config = folder if given == "config" else fast_config(tmp_path)
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", data, "--out", out, "--config", config) == 1
+    what = {"manifest": "manifest", "config": "config file"}.get(given, "data file")
+    assert capsys.readouterr().err == f"error: {folder}: not a file, expected a {what}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        # beyond int64, so read as floats: both are 1e+20
+        ["99999999999999999999", "99999999999999999998"],
+        # "2.0" sends the column down the float path, where both are 2**53
+        ["9007199254740993", "9007199254740992", "2.0"],
+    ],
+    ids=["beyond-int64", "beyond-2-53-beside-float-text"],
+)
+def test_run_refuses_labels_that_floats_would_merge(dataset_dir, tmp_path, capsys, codes):
+    labels = dataset_dir / "labels.csv"
+    rows = labels.read_text().splitlines()
+    labels.write_text("\n".join(codes + rows[len(codes):]) + "\n")
+    out = tmp_path / "runs"
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", fast_config(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}:1: label ")
+    assert "is 2**53 or more in magnitude" in err
+    assert not out.exists()
+
+
 def test_bom_prefixed_config_loads_equal_to_its_plain_twin(tmp_path):
     plain = fast_config(tmp_path, weighting_mode="nmi")
     bom = tmp_path / "bom.json"

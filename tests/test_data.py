@@ -208,8 +208,15 @@ def test_load_reports_both_row_counts_on_mismatch(tmp_path):
     )
     with pytest.raises(ValueError) as err:
         load_multiview(tmp_path / "manifest.json")
-    assert "2 rows" in str(err.value)
-    assert "3 rows" in str(err.value)
+    message = "views have differing sample counts (view 0: 2 rows, view 1: 3 rows)"
+    assert str(err.value) == f"{tmp_path / 'manifest.json'}: {message}"
+
+
+def test_load_reports_a_label_count_mismatch_at_the_manifest(tmp_path):
+    manifest = write_labelled(tmp_path, "0\n1\n\n0\n")
+    with pytest.raises(ValueError) as err:
+        load_multiview(manifest)
+    assert str(err.value) == f"{manifest}: labels have shape (3,), expected (4,)"
 
 
 def test_load_names_file_and_line_for_bad_cell(tmp_path):
@@ -250,11 +257,22 @@ def test_load_reads_integer_label_text_exactly(tmp_path, label_text, expected):
     assert data.labels.dtype == np.int64
 
 
-@pytest.mark.parametrize("cell", ["1.5", "nan", "inf"])
-def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell):
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1.5", "label .* is not an integer"),
+        ("nan", "label .* is not an integer"),
+        ("inf", "label .* is not an integer"),
+        ("oops", "non-numeric value 'oops'"),
+        # beyond int64, so read as a float, where 10**20 - 1 and 10**20 are one code
+        ("99999999999999999999", r"label .*1e\+20\)? is 2\*\*53 or more in magnitude"),
+    ],
+    ids=["1.5", "nan", "inf", "oops", "beyond-int64"],
+)
+def test_load_rejects_non_integer_label_with_file_and_line(tmp_path, cell, message):
     # the blank line is not a data row but still counts as a file line
     manifest = write_labelled(tmp_path, f"1\n\n2\n{cell}\n1\n")
-    with pytest.raises(ValueError, match=r"y\.csv:4: label .* is not an integer"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'y.csv'))}:4: {message}"):
         load_multiview(manifest)
 
 

@@ -301,6 +301,10 @@ def test_as_matrix_names_the_first_non_finite_cell():
     x[2, 0] = np.nan
     with pytest.raises(ValueError, match=re.escape("points has a non-finite value at index (1, 1)")):
         as_matrix(x, "points")
+    # with `where`, the message the dataset loader gives, `file:line` first
+    with pytest.raises(ValueError) as err:
+        as_matrix(x, "points", where=lambda row: f"f.csv:{row + 3}")
+    assert str(err.value) == "f.csv:4: non-finite value inf in column 2"
     assert as_matrix([[1, 2]]).dtype == np.float64
 
 
@@ -315,6 +319,8 @@ def test_as_matrix_names_the_first_non_finite_cell():
         (np.array([4, 4], dtype=np.uint8), [0, 0]),
         # integer text is read exactly: through float64 these two codes are one
         (["9007199254740992", "9007199254740993"], [0, 1]),
+        # the largest floats that still hold every integer apart
+        ([2.0**53 - 1, -(2.0**53 - 1)], [1, 0]),
     ],
 )
 def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
@@ -330,8 +336,12 @@ def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
         ([np.nan, 1], r"^labels\[0\]: label .*nan\)? is not an integer$"),
         ([], r"^labels is empty$"),
         ([[0, 1]], r"^labels must be a 1-D label vector, got shape \(1, 2\)$"),
+        # as floats, 2**70 and 2**70 + 1 are one code
+        ([2**70, 2**70 + 1, 0], r"^labels\[0\]: label 1180591620717411303424 is 2\*\*53 or more in magnitude"),
+        ([0.0, -(2.0**53)], r"^labels\[1\]: label .*9007199254740992\.0\)? is 2\*\*53 or more in magnitude"),
+        (["1", "2.0", "9007199254740993"], r"^labels\[2\]: label .*9007199254740993'\)? is 2\*\*53 or more"),
     ],
-    ids=["fraction", "nan", "empty", "2-d"],
+    ids=["fraction", "nan", "empty", "2-d", "int-beyond-2-53", "float-at-minus-2-53", "text-beyond-2-53"],
 )
 def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
     with pytest.raises(ValueError, match=message):
