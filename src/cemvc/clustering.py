@@ -57,9 +57,8 @@ def kmeans(
     init: np.ndarray | None = None,
     n_init: int = 1,
     max_iter: int = KMEANS_MAX_ITER,
-    tol: float = KMEANS_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding, deterministic per seed.
+    """Lloyd's algorithm from k-means++ seeds, deterministic per seed, to a shift below KMEANS_TOL.
 
     `init` (k, d) skips the seeding step; the pipeline uses it to carry
     centroids between outer iterations. With n_init > 1 (and no explicit
@@ -74,7 +73,7 @@ def kmeans(
         raise ValueError(f"cannot form {k} clusters from {n} points")
     if init is None and n_init > 1:
         base = (seed,) if np.isscalar(seed) else tuple(seed)
-        runs = [kmeans(x, k, seed=base + (r,), max_iter=max_iter, tol=tol) for r in range(n_init)]
+        runs = [kmeans(x, k, seed=base + (r,), max_iter=max_iter) for r in range(n_init)]
         return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
     rng = np.random.default_rng(seed)
     x_norms = _row_norms(x)
@@ -98,7 +97,7 @@ def kmeans(
                 new_centroids[j] = x[far]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
     return centroids, labels

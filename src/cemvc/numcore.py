@@ -83,7 +83,11 @@ def as_labels(values, name: str = "labels", where=None) -> Array:
         except (ValueError, OverflowError):  # "2.0", "nan" or beyond int64: the float path below
             pass
     if arr.dtype.kind not in "iu":
-        values = arr.astype(np.float64)
+        try:
+            values = arr.astype(np.float64)
+        except OverflowError:  # ints beyond float64's range: clipped, so refused as too big
+            values = np.array([min(max(v, -(2**1023)), 2**1023) if isinstance(v, int) else v
+                               for v in arr], dtype=np.float64)
         not_int = ~np.isfinite(values) | (values != np.rint(values))
         bad = np.flatnonzero(not_int | (np.abs(values) >= 2.0**53))
         if bad.size:

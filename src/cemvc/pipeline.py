@@ -9,7 +9,8 @@ a target, and finetune each view's autoencoder against that target.
 Weights produced at iteration t scale the fusion at iteration t+1. The
 unified centroids, kept in the nets' own coordinates, warm-start the next
 round's k-means and give each view its finetuning centroids. The shared
-baseline runs the same loop over one net with no scoring step.
+baseline runs the same loop over one net with no scoring step. The nets see
+standardized columns, and a fresh k-means keeps the best of KMEANS_RESTARTS seedings.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .model import TrainConfig, ViewModel, encode, finetune_view, pretrain
 from .numcore import check_count, check_real
 from .weighting import WEIGHT_MODES, update_weights
 
+KMEANS_RESTARTS = 8  # seedings for each fresh (non-warm-start) k-means
+
 
 @dataclass
 class PipelineConfig:
@@ -37,8 +40,6 @@ class PipelineConfig:
     max_outer_iters: int = 30
     tolerance: float = 1e-3  # fraction of unified labels allowed to change
     weighting_mode: str = "enmi_ce"
-    standardize: bool = True
-    kmeans_restarts: int = 8  # seedings for each fresh (non-warm-start) k-means
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -51,10 +52,9 @@ class PipelineConfig:
         for i, width in enumerate(self.hidden_dims):
             check_count(f"hidden_dims[{i}]", width)
         check_count("max_outer_iters", self.max_outer_iters)
-        check_count("kmeans_restarts", self.kmeans_restarts)
         check_count("seed", self.seed, minimum=0)
-        if not isinstance(self.standardize, bool):
-            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         check_real("tolerance", self.tolerance)
         if not 0.0 <= self.tolerance <= 1.0:
             raise ValueError("tolerance must lie in [0, 1]")
@@ -86,15 +86,9 @@ class ClusteringResult:
     seconds: float                 # the pretraining the fit used plus its outer loop
 
 
-def _standardize_columns(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=0)
-    sigma = np.maximum(x.std(axis=0), 1e-8)
-    return (x - mu) / sigma
-
-
 def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
-    """Check the data; return the views as the nets see them (concatenated if `shared`), a net
-    pretrained on each (a function of its input, the config and the seed) and the seconds taken."""
+    """Check the data; return the views as the nets see them (columns standardized, concatenated if
+    `shared`), a net pretrained on each (a function of its input, config and seed) and the seconds taken."""
     start = time.perf_counter()
     if data.n_views < 2:
         raise ValueError(f"need at least 2 views, got {data.n_views}")
@@ -102,7 +96,7 @@ def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool =
         raise ValueError(
             f"cannot form {cfg.n_clusters} clusters from {data.n_samples} samples"
         )
-    views = [_standardize_columns(v) for v in data.views] if cfg.standardize else data.views
+    views = [(x - x.mean(axis=0)) / np.maximum(x.std(axis=0), 1e-8) for x in data.views]
     inputs = [np.hstack(views)] if shared else views
     models = [
         pretrain(x, cfg.hidden_dims, cfg.latent_dim, cfg.train, cfg.seed, view_index=v)
@@ -150,7 +144,7 @@ def _outer_loop(
         fused *= scale
         unified_centroids, labels = kmeans(
             fused, k, seed=(cfg.seed, 3, t), init=None if centers is None else centers * scale,
-            n_init=cfg.kmeans_restarts,
+            n_init=KMEANS_RESTARTS,
         )
         centers = unified_centroids / scale
         # each label is its row's nearest centroid, so the argmax of its soft labels
@@ -180,7 +174,7 @@ def _outer_loop(
                     k,
                     seed=(cfg.seed, 4, t, v),
                     init=view_centroids[v],
-                    n_init=cfg.kmeans_restarts,
+                    n_init=KMEANS_RESTARTS,
                 )
                 nmis[v] = nmi(view_labels, labels)
             weights = update_weights(nmis, cond, mode)

@@ -226,14 +226,15 @@ def test_run_twice_appends_new_directory(dataset_dir, tmp_path):
     assert len([p for p in out.iterdir() if p.is_dir()]) == 2
 
 
-def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
+# standardization and the k-means seeding count are fixed policies, not config keys
+@pytest.mark.parametrize("key", ["typo_key", "standardize", "kmeans_restarts"])
+def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys, key):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n_clusters": 3, "typo_key": 1}))
-    assert run_cli(
-        "run", "--data", dataset_dir / "manifest.json",
-        "--out", tmp_path / "o", "--config", bad,
-    ) == 1
-    assert "typo_key" in capsys.readouterr().err
+    bad.write_text(json.dumps({"n_clusters": 3, key: 1}))
+    out = tmp_path / "o"
+    assert run_cli("run", "--data", dataset_dir / "manifest.json", "--out", out, "--config", bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: unknown config keys ['{key}']\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -253,7 +254,7 @@ def test_run_rejects_unknown_config_keys(dataset_dir, tmp_path, capsys):
         ({"train": {"clustering_weight": float("nan")}}, "clustering_weight"),
         ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
         ({"tolerance": None}, "tolerance"),
-        ({"standardize": "no"}, "standardize"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
         # a "train" value that is not an object is named with the file
         *[({"train": value}, '{config}: "train"') for value in ([], None, 5, "abc", [["learning_rate", 0.01]])],
     ],
@@ -424,8 +425,6 @@ def test_run_accepts_every_documented_config_key(dataset_dir, tmp_path):
         "max_outer_iters": 2,
         "tolerance": 0.0,
         "weighting_mode": "enmi",
-        "standardize": False,
-        "kmeans_restarts": 2,
         "seed": 5,
         "train": {
             "pretrain_epochs": 5,

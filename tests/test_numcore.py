@@ -340,8 +340,15 @@ def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
         ([2**70, 2**70 + 1, 0], r"^labels\[0\]: label 1180591620717411303424 is 2\*\*53 or more in magnitude"),
         ([0.0, -(2.0**53)], r"^labels\[1\]: label .*9007199254740992\.0\)? is 2\*\*53 or more in magnitude"),
         (["1", "2.0", "9007199254740993"], r"^labels\[2\]: label .*9007199254740993'\)? is 2\*\*53 or more"),
+        # Python ints beyond float64's range, where numpy's cast overflows
+        ([10**400, 1], r"^labels\[0\]: label 10{400} is 2\*\*53 or more in magnitude"),
+        ([1, -(10**400)], r"^labels\[1\]: label -10{400} is 2\*\*53 or more in magnitude"),
+        ([None, 10**400], r"^labels\[0\]: label None is not an integer$"),
     ],
-    ids=["fraction", "nan", "empty", "2-d", "int-beyond-2-53", "float-at-minus-2-53", "text-beyond-2-53"],
+    ids=[
+        "fraction", "nan", "empty", "2-d", "int-beyond-2-53", "float-at-minus-2-53", "text-beyond-2-53",
+        "int-beyond-float64", "negative-int-beyond-float64", "none-beside-int-beyond-float64",
+    ],
 )
 def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -298,6 +299,47 @@ def test_ablation_pretrains_each_view_once_and_equals_standalone_runs(tiny_noisy
         assert_same_fit(result, run_cemvc(tiny_noisy, replace(cfg, weighting_mode=mode)))
 
 
+def spy_pretrain(monkeypatch):
+    """Record the input of every pretrain call."""
+    real_pretrain = pipeline_module.pretrain
+    seen = []
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.copy())
+        return real_pretrain(x, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "pretrain", spy)
+    return seen
+
+
+def _offset_scaled_with_a_constant_column(data):
+    a, b = data.views
+    return MultiViewDataset([50.0 * a + 7.0, np.column_stack([b, np.full(len(b), 3.5)])], data.labels)
+
+
+def test_each_net_sees_its_view_standardized(tiny_data, monkeypatch):
+    data = _offset_scaled_with_a_constant_column(tiny_data)
+    seen = spy_pretrain(monkeypatch)
+    run_cemvc(data, tiny_cfg(tolerance=1.0))
+    assert len(seen) == data.n_views
+    for x, view in zip(seen, data.views):
+        assert x.shape == view.shape
+        varying = np.ptp(view, axis=0) > 0
+        np.testing.assert_allclose(x[:, varying].mean(axis=0), 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x[:, varying].std(axis=0), 1.0, rtol=1e-12, atol=0)
+        assert np.all(x[:, ~varying] == 0.0)
+    assert np.ptp(data.views[1][:, -1]) == 0 and np.all(seen[1][:, -1] == 0.0)
+
+
+def test_the_shared_net_sees_the_standardized_views_side_by_side(tiny_data, monkeypatch):
+    data = _offset_scaled_with_a_constant_column(tiny_data)
+    seen = spy_pretrain(monkeypatch)
+    run_cemvc(data, tiny_cfg(tolerance=1.0))
+    run_shared_baseline(data, tiny_cfg(tolerance=1.0))
+    *per_view, shared = seen
+    assert np.array_equal(shared, np.hstack(per_view))
+
+
 def test_seconds_include_the_pretraining_each_fit_used(tiny_noisy, slow_pretrain):
     # every weighting mode of the ablation is charged the one shared pretraining
     cfg = tiny_cfg(max_outer_iters=1)
@@ -438,8 +480,9 @@ def test_config_validation():
         PipelineConfig(n_clusters=3, tolerance=1.5)
     with pytest.raises(ValueError, match="mode"):
         PipelineConfig(n_clusters=3, weighting_mode="bogus")
-    with pytest.raises(ValueError, match="restarts"):
-        PipelineConfig(n_clusters=3, kmeans_restarts=0)
+    for train in ({"pretrain_epochs": 5}, None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'train must be a TrainConfig, got {train!r}')}$"):
+            PipelineConfig(n_clusters=3, train=train)
     for hidden in ((0,), (-2,)):
         with pytest.raises(ValueError, match="hidden_dims"):
             PipelineConfig(n_clusters=3, hidden_dims=hidden)
@@ -448,7 +491,7 @@ def test_config_validation():
         ("latent_dim", 2.5),
         ("latent_dim", True),
         ("max_outer_iters", 1.5),
-        ("kmeans_restarts", np.float64(8)),
+        ("seed", np.float64(8)),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
             PipelineConfig(**{"n_clusters": 3, field: value})
@@ -467,9 +510,6 @@ def test_config_validation():
         PipelineConfig(n_clusters=3, seed=-1)
     with pytest.raises(ValueError, match=r"^hidden_dims must be a list or tuple, got 8"):
         PipelineConfig(n_clusters=3, hidden_dims=8)
-    for value in ("no", 1, None):
-        with pytest.raises(ValueError, match=r"^standardize must be a bool, got"):
-            PipelineConfig(n_clusters=3, standardize=value)
     for value in (None, "0.1", True, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"^tolerance must be a finite real number, got"):
             PipelineConfig(n_clusters=3, tolerance=value)
@@ -480,6 +520,6 @@ def test_config_validation():
     # and a hidden_dims list becomes a tuple
     cfg = PipelineConfig(n_clusters=np.int64(3), hidden_dims=[np.int32(4)], seed=np.int64(0))
     assert cfg.hidden_dims == (4,)
-    PipelineConfig(n_clusters=3, tolerance=0, standardize=False)
+    PipelineConfig(n_clusters=3, tolerance=0)
     TrainConfig(pretrain_epochs=np.int64(2), batch_size=np.uint8(16), learning_rate=np.float32(0.01))
     TrainConfig(clustering_weight=0)
