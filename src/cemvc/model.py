@@ -4,7 +4,8 @@ A ViewModel owns its encoder and decoder outright, each with its own
 parameter vector; nothing is shared between views, so finetuning one view
 can never move another view's parameters. pretrain and finetune_view run
 the same step loop, with Adam updating each net's vector in one pass. The
-step is the only code that computes the per-sample Frobenius losses:
+step's forward half is the only code that computes the per-sample
+Frobenius losses:
 
     recon      = ||X - decode(encode(X))||_F^2 / N
     clustering = ||T - soft_assign(encode(X), centroids)||_F^2 / N
@@ -109,6 +110,38 @@ class _StepBuffers:
         self.dec = Workspace(model.decoder, rows, input_grad=True)
 
 
+def _forward_loss(
+    model: ViewModel,
+    x: np.ndarray,
+    target: np.ndarray | None,
+    centroids: np.ndarray | None,
+    clustering_weight: float,
+    bufs: _StepBuffers | None = None,
+):
+    """The combined loss, with the forward values its gradient reads:
+    (loss, latent, residual, kernel, q_diff), the last two None when
+    clustering_weight == 0.
+
+    This is the only code that computes the objective. With
+    clustering_weight == 0 the target is never touched, so callers may
+    pass None (or garbage) for it. Without `bufs` the values are fresh
+    arrays and x is taken as checked, so a non-finite latent gives a
+    non-finite loss, not an error.
+    """
+    n = x.shape[0]
+    latent = forward(model.encoder, x, bufs and bufs.enc, checked=True)
+    # the residual overwrites the decoder's output, which backward never reads
+    diff = forward(model.decoder, latent, bufs and bufs.dec, checked=True)
+    diff -= x
+    loss = float(np.einsum("ij,ij->", diff, diff)) / n
+    kernel = q_diff = None
+    if clustering_weight > 0:
+        kernel = _student_t(latent, centroids)
+        q_diff = kernel[2] - target
+        loss += clustering_weight * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
+    return loss, latent, diff, kernel, q_diff
+
+
 def _loss_and_grads(
     model: ViewModel,
     x: np.ndarray,
@@ -119,27 +152,18 @@ def _loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """Combined loss and its gradient, one vector per net as in model_params.
 
-    This is the only code that computes the objective. With
-    clustering_weight == 0 the target is never touched, so callers may
-    pass None (or garbage) for it. A training loop passes its `bufs`, and
-    the gradients it gets back live in them until the next step; without
-    `bufs` the gradients are fresh arrays owned by the caller.
+    A training loop passes its `bufs`, and the gradients it gets back
+    live in them until the next step; without `bufs` the gradients are
+    fresh arrays owned by the caller.
     """
     n = x.shape[0]
     if bufs is None:
         bufs = _StepBuffers(model, n)
-    latent = forward(model.encoder, x, bufs.enc)
-    # the residual overwrites the decoder's output, which backward never reads
-    diff = forward(model.decoder, latent, bufs.dec)
-    diff -= x
-    loss = float(np.einsum("ij,ij->", diff, diff)) / n
+    loss, latent, diff, kernel, q_diff = _forward_loss(model, x, target, centroids, clustering_weight, bufs)
     # the gradient 2 * diff / n; as 2 * diff and n / 2 are exact, one division rounds alike
     diff /= n / 2
     dec_grad, d_latent = backward(model.decoder, latent, diff, bufs.dec)
-    if clustering_weight > 0:
-        kernel = _student_t(latent, centroids)
-        q_diff = kernel[2] - target
-        loss += clustering_weight * float(np.einsum("ij,ij->", q_diff, q_diff)) / n
+    if kernel is not None:
         upstream = 2.0 * q_diff / n
         d_latent += clustering_weight * soft_assign_input_grad(latent, centroids, kernel, upstream)
     enc_grad, _ = backward(model.encoder, x, d_latent, bufs.enc)
@@ -211,9 +235,9 @@ def finetune_view(
 ) -> float:
     """Run finetune_steps_per_round combined-loss steps on this view only, in place.
 
-    Returns the loss of one full-batch step at the finetuned parameters,
-    whatever the batch size; a non-finite step loss raises, this one is
-    returned as it is. Centroids stay frozen for the whole round. With
+    Returns the combined loss over every row at the finetuned parameters
+    (a full-batch step's loss, from its forward half alone), whatever the
+    batch size; a non-finite step loss raises, this one is returned as it is. Centroids stay frozen for the whole round. With
     clustering_weight == 0 the target and centroids are never read.
     Mini-batches are drawn from (seed, 103, view_index, round_index), so
     each outer round has its own batch order.
@@ -235,4 +259,4 @@ def finetune_view(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
         lambda step: f"finetuning loss at step {step}",
     )
-    return _loss_and_grads(model, x, target, centroids, lam)[0]
+    return _forward_loss(model, x, target, centroids, lam)[0]

@@ -8,7 +8,8 @@ A DenseNet is its `dims` chain plus one parameter vector, `net.params`,
 laid out as [W0, b0, W1, b1, ...]; each layer's weight and bias are views
 into it.
 
-forward without a Workspace validates its input and returns fresh arrays.
+forward without a Workspace validates its input (unless told it is
+checked) and returns fresh arrays.
 A training loop instead owns a Workspace per net: forward writes the
 layer activations into it, and backward reads them and writes its deltas
 and its gradient vector there, so a step runs each matmul once and
@@ -85,18 +86,29 @@ def as_labels(values, name: str = "labels", where=None) -> Array:
     if arr.dtype.kind not in "iu":
         try:
             values = arr.astype(np.float64)
-        except OverflowError:  # ints beyond float64's range: clipped, so refused as too big
-            values = np.array([min(max(v, -(2**1023)), 2**1023) if isinstance(v, int) else v
-                               for v in arr], dtype=np.float64)
+        except (ValueError, OverflowError):  # text that is no number, or ints beyond float64's range
+            values = np.array([_label_float(v) for v in arr], dtype=np.float64)
         not_int = ~np.isfinite(values) | (values != np.rint(values))
         bad = np.flatnonzero(not_int | (np.abs(values) >= 2.0**53))
         if bad.size:
             i = int(bad[0])
             place = f"{name}[{i}]" if where is None else where(i)
+            label = arr[i].item() if isinstance(arr[i], np.generic) else arr[i]
             big = "is 2**53 or more in magnitude, where floats merge integers; write int64 codes"
-            raise ValueError(f"{place}: label {arr[i]!r} {'is not an integer' if not_int[i] else big}")
+            raise ValueError(f"{place}: label {label!r} {'is not an integer' if not_int[i] else big}")
         arr = values
     return np.unique(arr, return_inverse=True)[1].astype(np.int64, copy=False)
+
+
+def _label_float(value) -> float:
+    """One label as a float: an int beyond float64's range is clipped to 2**1023 in
+    magnitude, so refused as too big, and what is no number reads as nan."""
+    if isinstance(value, int):
+        return float(min(max(value, -(2**1023)), 2**1023))
+    try:
+        return float(value)
+    except (ValueError, TypeError):
+        return math.nan
 
 
 def as_input(net: DenseNet, x, name: str = "input") -> Array:
@@ -199,15 +211,16 @@ class Workspace:
         self.grads = _layers(self.grad, net.dims)
 
 
-def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
+def forward(net: DenseNet, x: Array, work: Workspace | None = None, checked: bool = False) -> Array:
     """Evaluate the network on a batch, returning the final activations.
 
-    Without `work` the input is validated and fresh arrays are returned.
-    With `work` (the training path, whose caller validated x) the
-    activations are written into it and the result is a view of its last
-    buffer.
+    Without `work` fresh arrays are returned, and the input is validated
+    unless the caller says it is `checked` (a non-finite input then gives
+    a non-finite output). With `work` (the training path, whose caller
+    validated x) the activations are written into it and the result is a
+    view of its last buffer.
     """
-    if work is None:
+    if work is None and not checked:
         x = as_input(net, x)
     m = x.shape[0]
     last = len(net.layers) - 1

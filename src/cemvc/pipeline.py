@@ -11,13 +11,23 @@ unified centroids, kept in the nets' own coordinates, warm-start the next
 round's k-means and give each view its finetuning centroids. The shared
 baseline runs the same loop over one net with no scoring step. The nets see
 standardized columns, and a fresh k-means keeps the best of KMEANS_RESTARTS seedings.
+
+Within a round, the conditional-entropy sweep runs in one background
+thread while the views' k-means and finetuning run in the caller's: the
+sweep reads only the round's latents, which nothing writes, and its result
+is first read by the weight update after both finish. Each phase runs the
+same operations in the same order as it would alone, so the overlap
+changes no value; an exception in the sweep is raised from the fit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,6 +96,43 @@ class ClusteringResult:
     seconds: float                 # the pretraining the fit used plus its outer loop
 
 
+class _Background(threading.Thread):
+    """`fn(*args)`, started at once in one background thread, in a copy of the
+    caller's context (so numpy's error state carries over). `result()` joins
+    it and returns the value, or raises the exception, in the caller's thread."""
+
+    def __init__(self, fn, *args) -> None:
+        super().__init__(name="cemvc-scoring")
+        self._call = partial(contextvars.copy_context().run, fn, *args)
+        self._value = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as err:  # raised again by result()
+            self._error = err
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _finetune(
+    models: list[ViewModel], inputs: list[np.ndarray], unified_soft: np.ndarray,
+    centers: np.ndarray, cfg: PipelineConfig, t: int,
+) -> np.ndarray:
+    """Finetune each net toward the sharpened unified labels and its block of
+    `centers`, in place; returns each net's round loss."""
+    target = target_distribution(unified_soft)
+    return np.array([
+        finetune_view(model, x, target, c, cfg.train, cfg.seed, t)
+        for model, x, c in zip(models, inputs, np.split(centers, len(models), axis=1))
+    ])
+
+
 def _pretrain_inputs(data: MultiViewDataset, cfg: PipelineConfig, shared: bool = False):
     """Check the data; return the views as the nets see them (columns standardized, concatenated if
     `shared`), a net pretrained on each (a function of its input, config and seed) and the seconds taken."""
@@ -120,6 +167,12 @@ def _outer_loop(
     next round's scale they warm-start the unified k-means, and net v finetunes
     toward its block of columns (the shared net's block is all of them), so
     its cluster j is the target's cluster j.
+
+    A weighting-mode round that passes its stop check starts its
+    conditional-entropy sweep in one background thread, runs the views'
+    k-means and finetuning here, and joins the thread, on every exit path,
+    before the weight update; an exception in the sweep is raised from
+    here. The "shared" mode starts no thread.
     """
     start = time.perf_counter()
     n_views = data.n_views
@@ -161,29 +214,29 @@ def _outer_loop(
             # one net, so there is nothing to score
             cond = np.full(n_views, np.nan)
             nmis = np.full(n_views, np.nan)
+            losses = _finetune(models, inputs, unified_soft, centers, cfg, t)
         else:
             # Conditional entropies are scored on the raw (unweighted)
             # latents; the weighted blocks would fold the previous weights
             # back into the score through the scale-equivariant density
-            # estimate.
-            cond = total_conditional_entropy(reps)
-            nmis = np.empty(n_views)
-            for v in range(n_views):
-                view_centroids[v], view_labels = kmeans(
-                    reps[v],
-                    k,
-                    seed=(cfg.seed, 4, t, v),
-                    init=view_centroids[v],
-                    n_init=KMEANS_RESTARTS,
-                )
-                nmis[v] = nmi(view_labels, labels)
+            # estimate. The sweep overlaps the views' k-means and finetuning.
+            scoring = _Background(total_conditional_entropy, reps)
+            try:
+                nmis = np.empty(n_views)
+                for v in range(n_views):
+                    view_centroids[v], view_labels = kmeans(
+                        reps[v],
+                        k,
+                        seed=(cfg.seed, 4, t, v),
+                        init=view_centroids[v],
+                        n_init=KMEANS_RESTARTS,
+                    )
+                    nmis[v] = nmi(view_labels, labels)
+                losses = _finetune(models, inputs, unified_soft, centers, cfg, t)
+            finally:
+                scoring.join()
+            cond = scoring.result()
             weights = update_weights(nmis, cond, mode)
-        target = target_distribution(unified_soft)
-
-        losses = np.array([
-            finetune_view(model, x, target, c, cfg.train, cfg.seed, t)
-            for model, x, c in zip(models, inputs, np.split(centers, len(models), axis=1))
-        ])
 
         # the shared net's weight and loss fill every view's slot
         traces.append(

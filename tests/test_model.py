@@ -257,6 +257,21 @@ def test_one_clustering_step_evaluates_the_kernel_once(call, monkeypatch):
         assert len(calls) == 4 + 1
 
 
+def test_finetune_returns_its_loss_without_a_backward_pass(monkeypatch):
+    x, target, centroids = clustered_view()
+    model = jittered_model(12, (9,), 3, seed=41)
+    real = model_module.backward
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "backward", counting)
+    finetune_view(model, x, target, centroids, TrainConfig(finetune_steps_per_round=4, clustering_weight=0.3))
+    assert len(calls) == 2 * 4  # decoder and encoder, once per step; none for the returned loss
+
+
 def test_non_finite_losses_name_the_epoch_step_and_view():
     # 1e200 cells overflow the squared reconstruction error on the first pass
     x = np.full((10, 4), 1e200)

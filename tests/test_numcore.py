@@ -344,10 +344,15 @@ def test_as_labels_codes_the_codes_that_occur_in_sorted_order(labels, expected):
         ([10**400, 1], r"^labels\[0\]: label 10{400} is 2\*\*53 or more in magnitude"),
         ([1, -(10**400)], r"^labels\[1\]: label -10{400} is 2\*\*53 or more in magnitude"),
         ([None, 10**400], r"^labels\[0\]: label None is not an integer$"),
+        # text that is no number, where numpy's cast fails naming no index
+        (["a", "b"], r"^labels\[0\]: label 'a' is not an integer$"),
+        ([1, "x"], r"^labels\[1\]: label 'x' is not an integer$"),
+        (np.array([1, "x", 2.5], dtype=object), r"^labels\[1\]: label 'x' is not an integer$"),
     ],
     ids=[
         "fraction", "nan", "empty", "2-d", "int-beyond-2-53", "float-at-minus-2-53", "text-beyond-2-53",
         "int-beyond-float64", "negative-int-beyond-float64", "none-beside-int-beyond-float64",
+        "text", "int-beside-text", "object-int-beside-text",
     ],
 )
 def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
@@ -358,3 +363,5 @@ def test_as_labels_rejects_what_is_not_a_label_vector(labels, message):
 def test_as_labels_reports_a_non_integer_where_the_caller_says():
     with pytest.raises(ValueError, match=r"^row 3: label .*0\.5\)? is not an integer$"):
         as_labels([1, 2, 0.5], where=lambda i: f"row {i + 1}")
+    with pytest.raises(ValueError, match=r"^row 2: label 'x' is not an integer$"):
+        as_labels(["1", "x"], where=lambda i: f"row {i + 1}")

@@ -1,5 +1,8 @@
 import hashlib
 import re
+import sys
+import threading
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -523,3 +526,99 @@ def test_config_validation():
     PipelineConfig(n_clusters=3, tolerance=0)
     TrainConfig(pretrain_epochs=np.int64(2), batch_size=np.uint8(16), learning_rate=np.float32(0.01))
     TrainConfig(clustering_weight=0)
+
+
+# --- the conditional-entropy sweep runs in one background thread ----------
+
+
+@pytest.mark.parametrize("run", [run_cemvc, run_ablation])
+def test_scoring_after_the_rounds_finetuning_changes_no_value(run, monkeypatch):
+    preset = PRESETS["noisy3view"]
+    data = preset_dataset(preset, 0, noisy=True)
+    reference = run(data, preset.pipeline)
+
+    # hold each round's sweep until every view of that round has finetuned
+    real_score, real_finetune = pipeline_module.total_conditional_entropy, pipeline_module.finetune_view
+    finetuned = threading.Event()
+    order = []
+
+    def finetune_then_signal(model, *args):
+        loss = real_finetune(model, *args)
+        if model.view_index == data.n_views - 1:
+            order.append("finetuned")
+            finetuned.set()
+        return loss
+
+    def late_score(reps):
+        assert finetuned.wait(timeout=60)
+        finetuned.clear()
+        order.append("scored")
+        return real_score(reps)
+
+    monkeypatch.setattr(pipeline_module, "finetune_view", finetune_then_signal)
+    monkeypatch.setattr(pipeline_module, "total_conditional_entropy", late_score)
+    late = run(data, preset.pipeline)
+    if run is run_cemvc:
+        late, reference = {"fit": late}, {"fit": reference}
+    for mode in reference:
+        assert_same_fit(late[mode], reference[mode])
+    assert order == ["finetuned", "scored"] * sum(len(fit.traces) for fit in late.values())
+
+
+def test_switching_threads_every_microsecond_changes_no_value(tiny_noisy):
+    cfg = tiny_cfg(tolerance=0.0, max_outer_iters=3)
+    reference = run_cemvc(tiny_noisy, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        switching = run_cemvc(tiny_noisy, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_fit(switching, reference)
+
+
+class ScoringFailed(Exception):
+    pass
+
+
+def test_an_exception_in_the_sweep_is_raised_from_the_fit_and_its_thread_joined(tiny_data, monkeypatch):
+    raised = ScoringFailed("scoring failed")
+    seen_errstate = []
+
+    def failing_score(reps):
+        seen_errstate.append(np.geterr()["divide"])
+        raise raised
+
+    monkeypatch.setattr(pipeline_module, "total_conditional_entropy", failing_score)
+    before = threading.active_count()
+    with np.errstate(divide="raise"), pytest.raises(ScoringFailed) as err:
+        run_cemvc(tiny_data, tiny_cfg(tolerance=0.0))
+    assert err.value is raised
+    assert threading.active_count() == before
+    assert seen_errstate == ["raise"]  # the sweep runs under the caller's numpy error state
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_warning_turned_error_in_the_sweep_is_raised_from_the_fit(tiny_data, monkeypatch):
+    def warning_score(reps):
+        warnings.warn("sweep overflowed", RuntimeWarning)
+
+    monkeypatch.setattr(pipeline_module, "total_conditional_entropy", warning_score)
+    before = threading.active_count()
+    with pytest.raises(RuntimeWarning, match="sweep overflowed"):
+        run_cemvc(tiny_data, tiny_cfg(tolerance=0.0))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("run", [run_cemvc, run_shared_baseline], ids=["cemvc", "shared"])
+def test_each_scored_round_starts_one_thread_and_the_shared_baseline_none(tiny_data, run, monkeypatch):
+    real_start = threading.Thread.start
+    started = []
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    result = run(tiny_data, tiny_cfg(tolerance=0.0, max_outer_iters=3))
+    assert len(started) == (0 if run is run_shared_baseline else len(result.traces))
