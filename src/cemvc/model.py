@@ -116,22 +116,21 @@ def _forward_loss(
     target: np.ndarray | None,
     centroids: np.ndarray | None,
     clustering_weight: float,
-    bufs: _StepBuffers | None = None,
+    bufs: _StepBuffers,
 ):
     """The combined loss, with the forward values its gradient reads:
     (loss, latent, residual, kernel, q_diff), the last two None when
-    clustering_weight == 0.
+    clustering_weight == 0. The latent and residual live in `bufs`.
 
     This is the only code that computes the objective. With
     clustering_weight == 0 the target is never touched, so callers may
-    pass None (or garbage) for it. Without `bufs` the values are fresh
-    arrays and x is taken as checked, so a non-finite latent gives a
-    non-finite loss, not an error.
+    pass None (or garbage) for it. x is not re-validated, so a non-finite
+    latent gives a non-finite loss, not an error.
     """
     n = x.shape[0]
-    latent = forward(model.encoder, x, bufs and bufs.enc, checked=True)
+    latent = forward(model.encoder, x, bufs.enc)
     # the residual overwrites the decoder's output, which backward never reads
-    diff = forward(model.decoder, latent, bufs and bufs.dec, checked=True)
+    diff = forward(model.decoder, latent, bufs.dec)
     diff -= x
     loss = float(np.einsum("ij,ij->", diff, diff)) / n
     kernel = q_diff = None
@@ -259,4 +258,4 @@ def finetune_view(
         model, x, target, centroids, lam, cfg, cfg.finetune_steps_per_round, batch_rng,
         lambda step: f"finetuning loss at step {step}",
     )
-    return _forward_loss(model, x, target, centroids, lam)[0]
+    return _forward_loss(model, x, target, centroids, lam, _StepBuffers(model, x.shape[0]))[0]

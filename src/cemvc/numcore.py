@@ -8,8 +8,7 @@ A DenseNet is its `dims` chain plus one parameter vector, `net.params`,
 laid out as [W0, b0, W1, b1, ...]; each layer's weight and bias are views
 into it.
 
-forward without a Workspace validates its input (unless told it is
-checked) and returns fresh arrays.
+forward without a Workspace validates its input and returns fresh arrays.
 A training loop instead owns a Workspace per net: forward writes the
 layer activations into it, and backward reads them and writes its deltas
 and its gradient vector there, so a step runs each matmul once and
@@ -211,16 +210,15 @@ class Workspace:
         self.grads = _layers(self.grad, net.dims)
 
 
-def forward(net: DenseNet, x: Array, work: Workspace | None = None, checked: bool = False) -> Array:
+def forward(net: DenseNet, x: Array, work: Workspace | None = None) -> Array:
     """Evaluate the network on a batch, returning the final activations.
 
-    Without `work` fresh arrays are returned, and the input is validated
-    unless the caller says it is `checked` (a non-finite input then gives
-    a non-finite output). With `work` (the training path, whose caller
-    validated x) the activations are written into it and the result is a
-    view of its last buffer.
+    Without `work` the input is validated and fresh arrays are returned.
+    With `work` (the training path, whose caller validated x) the
+    activations are written into it and the result is a view of its last
+    buffer.
     """
-    if work is None and not checked:
+    if work is None:
         x = as_input(net, x)
     m = x.shape[0]
     last = len(net.layers) - 1

@@ -12,22 +12,21 @@ round's k-means and give each view its finetuning centroids. The shared
 baseline runs the same loop over one net with no scoring step. The nets see
 standardized columns, and a fresh k-means keeps the best of KMEANS_RESTARTS seedings.
 
-Within a round, the conditional-entropy sweep runs in one background
-thread while the views' k-means and finetuning run in the caller's: the
-sweep reads only the round's latents, which nothing writes, and its result
-is first read by the weight update after both finish. Each phase runs the
-same operations in the same order as it would alone, so the overlap
-changes no value; an exception in the sweep is raised from the fit.
+Within a round, the conditional-entropy sweep runs in the one worker of a
+round's `ThreadPoolExecutor` while the views' k-means and finetuning run in
+the caller's thread: the sweep reads only the round's latents, which nothing
+writes, and its result is first read by the weight update after both finish.
+Each phase runs the same operations in the same order as it would alone, so
+the overlap changes no value; an exception in the sweep is raised from the fit.
 """
 
 from __future__ import annotations
 
 import contextvars
 import copy
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -96,30 +95,6 @@ class ClusteringResult:
     seconds: float                 # the pretraining the fit used plus its outer loop
 
 
-class _Background(threading.Thread):
-    """`fn(*args)`, started at once in one background thread, in a copy of the
-    caller's context (so numpy's error state carries over). `result()` joins
-    it and returns the value, or raises the exception, in the caller's thread."""
-
-    def __init__(self, fn, *args) -> None:
-        super().__init__(name="cemvc-scoring")
-        self._call = partial(contextvars.copy_context().run, fn, *args)
-        self._value = self._error = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._value = self._call()
-        except BaseException as err:  # raised again by result()
-            self._error = err
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def _finetune(
     models: list[ViewModel], inputs: list[np.ndarray], unified_soft: np.ndarray,
     centers: np.ndarray, cfg: PipelineConfig, t: int,
@@ -168,11 +143,12 @@ def _outer_loop(
     toward its block of columns (the shared net's block is all of them), so
     its cluster j is the target's cluster j.
 
-    A weighting-mode round that passes its stop check starts its
-    conditional-entropy sweep in one background thread, runs the views'
-    k-means and finetuning here, and joins the thread, on every exit path,
-    before the weight update; an exception in the sweep is raised from
-    here. The "shared" mode starts no thread.
+    A weighting-mode round that passes its stop check submits its
+    conditional-entropy sweep to a one-worker pool, in a copy of this
+    context (so numpy's error state carries over), and runs the views'
+    k-means and finetuning here; leaving the pool joins its worker on every
+    exit path, and the sweep's result or exception is read after that,
+    before the weight update. The "shared" mode starts no thread.
     """
     start = time.perf_counter()
     n_views = data.n_views
@@ -220,8 +196,8 @@ def _outer_loop(
             # latents; the weighted blocks would fold the previous weights
             # back into the score through the scale-equivariant density
             # estimate. The sweep overlaps the views' k-means and finetuning.
-            scoring = _Background(total_conditional_entropy, reps)
-            try:
+            with ThreadPoolExecutor(1, "cemvc-scoring") as pool:
+                scoring = pool.submit(contextvars.copy_context().run, total_conditional_entropy, reps)
                 nmis = np.empty(n_views)
                 for v in range(n_views):
                     view_centroids[v], view_labels = kmeans(
@@ -233,8 +209,6 @@ def _outer_loop(
                     )
                     nmis[v] = nmi(view_labels, labels)
                 losses = _finetune(models, inputs, unified_soft, centers, cfg, t)
-            finally:
-                scoring.join()
             cond = scoring.result()
             weights = update_weights(nmis, cond, mode)
 

@@ -2,6 +2,7 @@ import hashlib
 import re
 import sys
 import threading
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -607,6 +608,33 @@ def test_a_warning_turned_error_in_the_sweep_is_raised_from_the_fit(tiny_data, m
     before = threading.active_count()
     with pytest.raises(RuntimeWarning, match="sweep overflowed"):
         run_cemvc(tiny_data, tiny_cfg(tolerance=0.0))
+    assert threading.active_count() == before
+
+
+def test_a_failure_while_the_sweep_runs_is_raised_after_its_thread_finishes(tiny_data, monkeypatch):
+    raised = FloatingPointError("finetuning failed")
+    sweeping, failing = threading.Event(), threading.Event()
+    sweep_finished = []
+
+    def slow_score(reps):
+        sweeping.set()
+        assert failing.wait(timeout=60)
+        time.sleep(0.1)  # long past the caller's raise, were the worker not joined
+        sweep_finished.append(time.perf_counter())
+
+    def failing_finetune(*args):
+        assert sweeping.wait(timeout=60)  # the sweep is running
+        failing.set()
+        raise raised
+
+    monkeypatch.setattr(pipeline_module, "total_conditional_entropy", slow_score)
+    monkeypatch.setattr(pipeline_module, "finetune_view", failing_finetune)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as err:
+        run_cemvc(tiny_data, tiny_cfg(tolerance=0.0))
+    caught = time.perf_counter()
+    assert err.value is raised
+    assert len(sweep_finished) == 1 and sweep_finished[0] < caught
     assert threading.active_count() == before
 
 
