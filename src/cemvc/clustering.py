@@ -1,5 +1,9 @@
 """K-means plus the heavy-tailed soft assignment used for self-training.
 
+K-means owns its seeding policy: a call without a start keeps the best of
+KMEANS_RESTARTS k-means++ seedings (Arthur and Vassilvitskii, 2007), each
+refined by the one Lloyd loop that also serves warm-started calls.
+
 Soft labels are Student-t (one degree of freedom) kernel responsibilities
 against a centroid set; the training target sharpens them by squaring and
 renormalizing per cluster frequency.
@@ -9,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import as_matrix
+from .numcore import as_matrix, check_count
 
 KMEANS_MAX_ITER = 300
+KMEANS_RESTARTS = 8  # k-means++ seedings of a k-means without a start
 KMEANS_TOL = 1e-6
 
 
@@ -50,42 +55,13 @@ def inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def kmeans(
-    x,
-    k: int,
-    seed=0,
-    init: np.ndarray | None = None,
-    n_init: int = 1,
-    max_iter: int = KMEANS_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm from k-means++ seeds, deterministic per seed, to a shift below KMEANS_TOL.
+def _lloyd(x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm from `centroids` (left unwritten) to a shift below KMEANS_TOL.
 
-    `init` (k, d) skips the seeding step; the pipeline uses it to carry
-    centroids between outer iterations. With n_init > 1 (and no explicit
-    init) the lowest-inertia run over n_init seedings wins. Empty clusters
-    are reseeded to the point farthest from the empty centroid.
+    Empty clusters are reseeded to the point farthest from the empty centroid.
     """
-    x = as_matrix(x, "points")
-    n, d = x.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise ValueError(f"cannot form {k} clusters from {n} points")
-    if init is None and n_init > 1:
-        base = (seed,) if np.isscalar(seed) else tuple(seed)
-        runs = [kmeans(x, k, seed=base + (r,), max_iter=max_iter) for r in range(n_init)]
-        return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
-    rng = np.random.default_rng(seed)
-    x_norms = _row_norms(x)
-    if init is not None:
-        centroids = np.array(init, dtype=np.float64, copy=True)
-        if centroids.shape != (k, d):
-            raise ValueError(
-                f"init centroids have shape {centroids.shape}, expected {(k, d)}"
-            )
-    else:
-        centroids = _kmeans_plus_plus(x, x_norms, k, rng)
-    for _ in range(max_iter):
+    k = centroids.shape[0]
+    for _ in range(KMEANS_MAX_ITER):
         labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
         new_centroids = centroids.copy()
         for j in range(k):
@@ -101,6 +77,33 @@ def kmeans(
             break
     labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
     return centroids, labels
+
+
+def kmeans(x, k: int, seed=0, init=None) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids and labels of Lloyd's algorithm, deterministic per seed.
+
+    `init` (k, d) is the start; the pipeline uses it to carry centroids
+    between outer iterations. Without it, Lloyd runs from KMEANS_RESTARTS
+    k-means++ seedings, seeding r drawn from default_rng((*seed, r)), and the
+    lowest-inertia run wins. ||x||^2 is computed once per call.
+    """
+    x = as_matrix(x, "points")
+    n, d = x.shape
+    check_count("k", k)
+    if n < k:
+        raise ValueError(f"cannot form {k} clusters from {n} points")
+    x_norms = _row_norms(x)
+    if init is not None:
+        init = as_matrix(init, "init centroids")
+        if init.shape != (k, d):
+            raise ValueError(f"init centroids have shape {init.shape}, expected {(k, d)}")
+        return _lloyd(x, x_norms, init)
+    base = (seed,) if np.isscalar(seed) else tuple(seed)
+    runs = [
+        _lloyd(x, x_norms, _kmeans_plus_plus(x, x_norms, k, np.random.default_rng((*base, r))))
+        for r in range(KMEANS_RESTARTS)
+    ]
+    return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
 
 
 def _student_t(r: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -78,8 +78,7 @@ def clustering_accuracy(pred, truth) -> float:
     return _matched_accuracy(confusion_matrix(pred, truth))
 
 
-def evaluate(result, truth) -> MetricReport:
-    """Score a clustering result (or a plain label vector) against truth."""
-    pred = getattr(result, "labels", result)
+def evaluate(pred, truth) -> MetricReport:
+    """Score predicted labels against truth."""
     table = confusion_matrix(pred, truth)
     return MetricReport(acc=_matched_accuracy(table), nmi=nmi_from_table(table), confusion=table)

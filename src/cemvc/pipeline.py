@@ -10,7 +10,7 @@ Weights produced at iteration t scale the fusion at iteration t+1. The
 unified centroids, kept in the nets' own coordinates, warm-start the next
 round's k-means and give each view its finetuning centroids. The shared
 baseline runs the same loop over one net with no scoring step. The nets see
-standardized columns, and a fresh k-means keeps the best of KMEANS_RESTARTS seedings.
+standardized columns; how a fresh k-means is seeded is `clustering`'s policy.
 
 Within a round, the conditional-entropy sweep runs in the one worker of a
 round's `ThreadPoolExecutor` while the views' k-means and finetuning run in
@@ -37,8 +37,6 @@ from .metrics import MetricReport, evaluate
 from .model import TrainConfig, ViewModel, encode, finetune_view, pretrain
 from .numcore import check_count, check_real
 from .weighting import WEIGHT_MODES, update_weights
-
-KMEANS_RESTARTS = 8  # seedings for each fresh (non-warm-start) k-means
 
 
 @dataclass
@@ -172,8 +170,7 @@ def _outer_loop(
         fused = np.hstack(reps)
         fused *= scale
         unified_centroids, labels = kmeans(
-            fused, k, seed=(cfg.seed, 3, t), init=None if centers is None else centers * scale,
-            n_init=KMEANS_RESTARTS,
+            fused, k, seed=(cfg.seed, 3, t), init=None if centers is None else centers * scale
         )
         centers = unified_centroids / scale
         # each label is its row's nearest centroid, so the argmax of its soft labels
@@ -201,11 +198,7 @@ def _outer_loop(
                 nmis = np.empty(n_views)
                 for v in range(n_views):
                     view_centroids[v], view_labels = kmeans(
-                        reps[v],
-                        k,
-                        seed=(cfg.seed, 4, t, v),
-                        init=view_centroids[v],
-                        n_init=KMEANS_RESTARTS,
+                        reps[v], k, seed=(cfg.seed, 4, t, v), init=view_centroids[v]
                     )
                     nmis[v] = nmi(view_labels, labels)
                 losses = _finetune(models, inputs, unified_soft, centers, cfg, t)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 import cemvc.clustering as clustering_module
 from cemvc.clustering import (
+    KMEANS_RESTARTS,
+    _kmeans_plus_plus,
+    _row_norms,
     _student_t,
     inertia,
     kmeans,
@@ -52,7 +56,7 @@ def brute_force_best_inertia(x, k):
 def test_kmeans_matches_exhaustive_oracle_on_8_points():
     rng = np.random.default_rng(3)
     x = np.vstack([rng.standard_normal((4, 2)), rng.standard_normal((4, 2)) + 8.0])
-    centroids, labels = kmeans(x, 2, seed=0, n_init=4)
+    centroids, labels = kmeans(x, 2, seed=0)
     assert inertia(x, centroids, labels) == pytest.approx(
         brute_force_best_inertia(x, 2), rel=1e-9
     )
@@ -71,11 +75,12 @@ def test_kmeans_rejects_more_clusters_than_points():
         kmeans(np.zeros((3, 2)), 4)
 
 
-def test_kmeans_inertia_nonincreasing_over_iterations():
+def test_kmeans_inertia_nonincreasing_over_iterations(monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((60, 3))
     # re-run Lloyd manually from the same seeding and watch inertia
-    start, _ = kmeans(x, 4, seed=9, max_iter=1)
+    monkeypatch.setattr(clustering_module, "KMEANS_MAX_ITER", 1)
+    start, _ = kmeans(x, 4, seed=9)
     values = []
     centroids = start
     for _ in range(10):
@@ -99,13 +104,15 @@ def test_kmeans_accepts_warm_start():
     assert clustering_accuracy(labels, truth) == 1.0
 
 
-def test_kmeans_reseeds_an_empty_cluster_to_the_farthest_point():
+def test_kmeans_reseeds_an_empty_cluster_to_the_farthest_point(monkeypatch):
     rng = np.random.default_rng(13)
     x = np.vstack([rng.standard_normal((20, 2)) * 0.5 + c for c in ([0, 0], [10, 0], [-10, 0])])
     truth = np.repeat([0, 1, 2], 20)
     # the third centroid is nearest to no point, so its cluster starts empty
     init = np.array([[0.0, 0.0], [10.0, 0.0], [1000.0, 0.0]])
-    first, _ = kmeans(x, 3, init=init, max_iter=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(clustering_module, "KMEANS_MAX_ITER", 1)
+        first, _ = kmeans(x, 3, init=init)
     farthest = np.argmax(((x - init[2]) ** 2).sum(axis=1))
     assert np.array_equal(first[2], x[farthest])
     # the other two take their members' means; cloud 2 joins centroid 0
@@ -132,11 +139,76 @@ def test_kmeans_computes_the_point_norms_once_per_seeding(monkeypatch):
 
     monkeypatch.setattr(clustering_module, "_row_norms", counting)
     kmeans(x, 3, seed=0)
-    assert len(point_calls) == 1
+    assert len(point_calls) == 1  # one for all KMEANS_RESTARTS seedings
     kmeans(x, 3, init=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1e3, 0.0, 0.0]]))
     assert len(point_calls) == 2
-    kmeans(x, 3, seed=0, n_init=4)
-    assert len(point_calls) == 6  # one per restart
+    kmeans(x, 3, seed=(0, 4))
+    assert len(point_calls) == 3  # one per call, not one per restart
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (2.5, "k must be an integer, got 2.5"),
+        (True, "k must be an integer, got True"),
+        (0, "k must be >= 1, got 0"),
+    ],
+)
+def test_kmeans_rejects_a_k_that_is_not_a_positive_integer(k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kmeans(np.zeros((4, 2)), k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_a_non_finite_init_at_its_index(bad):
+    x, _ = two_clouds(seed=11)
+    with pytest.raises(ValueError, match=r"init centroids has a non-finite value at index \(1, 0\)"):
+        kmeans(x, 2, init=[[0.0, 0.0], [bad, 30.0]])
+
+
+def test_kmeans_accepts_a_list_init_and_leaves_an_array_init_unwritten():
+    x, truth = two_clouds(seed=11)
+    _, labels = kmeans(x, 2, init=[[0.0, 0.0], [30.0, 30.0]])
+    assert clustering_accuracy(labels, truth) == 1.0
+    init = np.array([[0.0, 0.0], [30.0, 30.0]])
+    kmeans(x, 2, init=init)
+    assert init.tolist() == [[0.0, 0.0], [30.0, 30.0]]
+
+
+def best_of_the_seedings(x, k, base):
+    """The lowest-inertia (first of any ties) warm-started run over the k-means++
+    seedings drawn from default_rng((*base, r)), r < KMEANS_RESTARTS."""
+    runs = [
+        kmeans(x, k, init=_kmeans_plus_plus(x, _row_norms(x), k, np.random.default_rng((*base, r))))
+        for r in range(KMEANS_RESTARTS)
+    ]
+    return min(runs, key=lambda run: inertia(x, *run))
+
+
+@pytest.mark.parametrize("seed, base", [((5, 3, 0), (5, 3, 0)), (9, (9,))])
+def test_kmeans_keeps_the_best_run_over_its_seed_stream(seed, base):
+    # the pipeline's outputs rest on seeding r of a fresh k-means coming from (*seed, r)
+    x = np.random.default_rng(18).standard_normal((50, 3))
+    centroids, labels = kmeans(x, 5, seed=seed)
+    expected_centroids, expected_labels = best_of_the_seedings(x, 5, base)
+    assert (centroids == expected_centroids).all()
+    assert (labels == expected_labels).all()
+
+
+def test_kmeans_seeds_once_per_restart_and_not_at_all_with_a_start(monkeypatch):
+    x = np.random.default_rng(19).standard_normal((30, 2))
+    real = clustering_module._kmeans_plus_plus
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clustering_module, "_kmeans_plus_plus", spy)
+    centroids, _ = kmeans(x, 3, seed=0)
+    assert len(calls) == KMEANS_RESTARTS
+    kmeans(x, 3, init=centroids)
+    assert len(calls) == KMEANS_RESTARTS
 
 
 def test_soft_assign_near_centroid_takes_most_mass():
@@ -234,10 +306,10 @@ def test_target_distribution_empty_cluster_column_zeroed():
     assert p[:, 0] == pytest.approx(np.ones(2))
 
 
-def unified_soft_labels(fused, k, seed, n_init=1):
+def unified_soft_labels(fused, k, seed):
     """The pipeline's unified clustering: k-means labels, and soft labels
     against its centroids whose argmax they must equal."""
-    centroids, labels = kmeans(fused, k, seed=seed, n_init=n_init)
+    centroids, labels = kmeans(fused, k, seed=seed)
     soft = soft_assign(fused, centroids)
     assert np.array_equal(labels, soft.argmax(axis=1))
     return labels, soft, centroids
@@ -248,7 +320,7 @@ def test_unified_soft_labels_separated_clusters_perfect():
     labels = np.arange(90) % 3
     centers = np.array([[0.0, 0.0], [25.0, 0.0], [0.0, 25.0]])
     fused = centers[labels] + rng.standard_normal((90, 2))
-    hard, soft, centroids = unified_soft_labels(fused, 3, seed=1, n_init=4)
+    hard, soft, centroids = unified_soft_labels(fused, 3, seed=1)
     assert clustering_accuracy(hard, labels) == 1.0
     assert soft.shape == (90, 3)
     assert centroids.shape == (3, 2)

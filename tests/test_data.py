@@ -33,7 +33,7 @@ def test_synth_views_differ_but_labels_agree():
 def test_synth_each_view_kmeans_recovers_clusters():
     data = synth_multiview(600, 3, (10, 10), (8.0, 8.0), seed=2)
     for v, x in enumerate(data.views):
-        _, labels = kmeans(x, 3, seed=(2, v), n_init=4)
+        _, labels = kmeans(x, 3, seed=(2, v))
         assert clustering_accuracy(labels, data.labels) >= 0.9
 
 
@@ -114,7 +114,7 @@ def test_noise_view_j_draws_from_seed_999_j(seed):
 
 def test_noise_view_is_label_independent():
     data = synth_multiview(600, 3, (5, 5), (6.0, 6.0), noise_dims=(10,), seed=6)
-    _, labels = kmeans(data.views[-1], 3, seed=8, n_init=4)
+    _, labels = kmeans(data.views[-1], 3, seed=8)
     assert mutual_information(labels, data.labels) <= 0.05
 
 

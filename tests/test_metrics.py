@@ -170,14 +170,6 @@ def test_evaluate_hand_case_confusion_consistent():
     assert report.confusion.tolist() == [[1, 1], [0, 2]]
 
 
-def test_evaluate_accepts_result_like_objects():
-    class Holder:
-        labels = np.array([0, 1, 0, 1])
-
-    report = evaluate(Holder(), np.array([1, 0, 1, 0]))
-    assert report.acc == 1.0
-
-
 # eight distinct int64 codes each: negative, sparse, up to +-10^12
 code_sets = st.lists(
     st.integers(min_value=-(10**12), max_value=10**12), min_size=8, max_size=8, unique=True

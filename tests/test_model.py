@@ -185,7 +185,7 @@ def test_finetune_reduces_combined_loss_most_rounds():
     step_cfg = TrainConfig(finetune_steps_per_round=30, clustering_weight=0.1, learning_rate=3e-3)
     for _ in range(rounds):
         latent = encode(model, x)
-        centroids, _ = kmeans(latent, 3, seed=11, n_init=4)
+        centroids, _ = kmeans(latent, 3, seed=11)
         q = soft_assign(latent, centroids)
         target = q**2 / q.sum(0)
         target /= target.sum(1, keepdims=True)
