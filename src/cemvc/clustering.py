@@ -2,7 +2,14 @@
 
 K-means owns its seeding policy: a call without a start keeps the best of
 KMEANS_RESTARTS k-means++ seedings (Arthur and Vassilvitskii, 2007), each
-refined by the one Lloyd loop that also serves warm-started calls.
+refined by the one Lloyd loop that also serves warm-started calls. That loop
+runs a stack of starts (r, k, d) at once: one matmul gives every start's
+(k, n) distance block, k - 1 comparisons its labels and np.bincount its
+cluster sums, so eight seedings cost about the numpy calls of one. Stacks
+are cut so that an (a, k, n) block stays near _BLOCK_CELLS cells. Every
+start ends bit for bit where a loop over it alone would: the dot products
+come from x.T as a view (the gemm that x @ centers.T runs), and the sums
+add members row by row, as np.mean does.
 
 Soft labels are Student-t (one degree of freedom) kernel responsibilities
 against a centroid set; the training target sharpens them by squaring and
@@ -18,6 +25,7 @@ from .numcore import as_matrix, check_count
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 8  # k-means++ seedings of a k-means without a start
 KMEANS_TOL = 1e-6
+_BLOCK_CELLS = 1 << 17  # cells of one (a, k, n) distance block: 1 MiB of float64
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -55,27 +63,112 @@ def inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def _lloyd(x: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm from `centroids` (left unwritten) to a shift below KMEANS_TOL.
+def _distances(
+    xt: np.ndarray, x_norms: np.ndarray, centers: np.ndarray, dots: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Squared distances (a, k, n) from each start's centers (a, k, d) to every point.
 
-    Empty clusters are reseeded to the point farthest from the empty centroid.
+    Start r's block equals _squared_distances(x, x_norms, centers[r]).T bit for
+    bit when xt is the view x.T: matmul then runs one (k, d) @ (d, n) gemm per
+    start with the dot products of x @ centers[r].T. A contiguous copy of x.T
+    takes another gemm path, whose sums round differently. `dots` and `out`
+    are (a, k, n) buffers.
     """
-    k = centroids.shape[0]
-    for _ in range(KMEANS_MAX_ITER):
-        labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
-            else:
-                far = np.argmax(_squared_distances(x, x_norms, centroids[j : j + 1]).ravel())
-                new_centroids[j] = x[far]
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
-        if shift < KMEANS_TOL:
-            break
-    labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
+    a, k, d = centers.shape
+    np.matmul(centers, xt, out=dots)
+    dots *= 2.0
+    np.add(_row_norms(centers.reshape(a * k, d)).reshape(a, k, 1), x_norms, out=out)
+    out -= dots
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """Each point's nearest center (a, n) under distances d2 (a, k, n).
+
+    k - 1 strict comparisons keep argmin's choice, the first of any ties.
+    """
+    best = d2[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, d2.shape[1]):
+        closer = d2[:, j] < best
+        labels[closer] = j
+        np.minimum(best, d2[:, j], out=best)
+    return labels
+
+
+def _member_sums(
+    columns: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member counts (a, k) and coordinate sums (a, k, d) of each start's clusters.
+
+    `columns` is x.T made contiguous and `weights` an (a, n) buffer. np.bincount
+    adds a cluster's members row by row, in order, as x[members].mean(axis=0)
+    does, so the means agree bit for bit. One column is the exception: there
+    numpy sums pairwise, so each cluster is summed on its own.
+    """
+    a, n = labels.shape
+    d = columns.shape[0]
+    bins = (labels + np.arange(0, a * k, k)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+    sums = np.empty((a, k, d))
+    if d == 1:
+        for r, j in np.ndindex(a, k):
+            sums[r, j] = columns[0, labels[r] == j].sum()
+        return counts, sums
+    for c in range(d):
+        if a == 1:
+            tiled = columns[c]
+        else:  # one weight per entry of bins: the column once per start
+            tiled = weights[:a]
+            tiled[...] = columns[c]
+        sums[:, :, c] = np.bincount(bins, tiled.ravel(), a * k).reshape(a, k)
+    return counts, sums
+
+
+def _lloyd(x: np.ndarray, x_norms: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm from each start of the stack `starts` (r, k, d), left unwritten.
+
+    Returns centroids (r, k, d) and labels (r, n); each start ends where a loop
+    over it alone would. Starts iterate together, a stack of them per numpy
+    call, so an iteration costs about as many calls for eight starts as for
+    one; a start whose shift falls below KMEANS_TOL is frozen and leaves its
+    stack. A stack holds _BLOCK_CELLS // (k * n) starts (at least one), which
+    keeps its (a, k, n) distance blocks near _BLOCK_CELLS cells: at n = 2400
+    and k = 4 all eight seedings iterate together, while at large n memory
+    stays that of one start. An empty cluster is reseeded to the point
+    farthest from its centroid, unless that point already holds one of the
+    start's centroids: there it would empty again at once, so the centroid
+    stays put.
+    """
+    total, k, _ = starts.shape
+    n = x.shape[0]
+    size = min(total, max(1, _BLOCK_CELLS // (k * n)))
+    xt = x.T  # a view, for bit-exact distances (see _distances)
+    columns = np.ascontiguousarray(xt)
+    dots, d2, weights = np.empty((size, k, n)), np.empty((size, k, n)), np.empty((size, n))
+    centroids = starts.copy()
+    labels = np.empty((total, n), dtype=np.intp)
+    for first in range(0, total, size):
+        stack = np.arange(first, min(first + size, total))
+        live = stack  # the stack's starts still iterating
+        for _ in range(KMEANS_MAX_ITER):
+            m = live.size
+            old = centroids[live]
+            nearest = _nearest(_distances(xt, x_norms, old, dots[:m], d2[:m]))
+            counts, sums = _member_sums(columns, nearest, k, weights)
+            new = np.divide(sums, counts[:, :, None], out=old.copy(), where=counts[:, :, None] > 0)
+            for r, j in zip(*np.nonzero(counts == 0)):
+                far = x[np.argmax(_squared_distances(x, x_norms, old[r, j : j + 1]).ravel())]
+                if not (new[r] == far).all(axis=1).any():
+                    new[r, j] = far
+            shift = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+            centroids[live] = new
+            live = live[shift >= KMEANS_TOL]
+            if not live.size:
+                break
+        m = stack.size
+        labels[stack] = _nearest(_distances(xt, x_norms, centroids[stack], dots[:m], d2[:m]))
     return centroids, labels
 
 
@@ -84,8 +177,9 @@ def kmeans(x, k: int, seed=0, init=None) -> tuple[np.ndarray, np.ndarray]:
 
     `init` (k, d) is the start; the pipeline uses it to carry centroids
     between outer iterations. Without it, Lloyd runs from KMEANS_RESTARTS
-    k-means++ seedings, seeding r drawn from default_rng((*seed, r)), and the
-    lowest-inertia run wins. ||x||^2 is computed once per call.
+    k-means++ seedings, seeding r drawn from default_rng((*seed, r)), all
+    handed to _lloyd as one stack, and the lowest-inertia run wins, the
+    first of any ties. ||x||^2 is computed once per call.
     """
     x = as_matrix(x, "points")
     n, d = x.shape
@@ -97,12 +191,12 @@ def kmeans(x, k: int, seed=0, init=None) -> tuple[np.ndarray, np.ndarray]:
         init = as_matrix(init, "init centroids")
         if init.shape != (k, d):
             raise ValueError(f"init centroids have shape {init.shape}, expected {(k, d)}")
-        return _lloyd(x, x_norms, init)
+        centroids, labels = _lloyd(x, x_norms, init[None])
+        return centroids[0], labels[0]
     base = (seed,) if np.isscalar(seed) else tuple(seed)
-    runs = [
-        _lloyd(x, x_norms, _kmeans_plus_plus(x, x_norms, k, np.random.default_rng((*base, r))))
-        for r in range(KMEANS_RESTARTS)
-    ]
+    seedings = [np.random.default_rng((*base, r)) for r in range(KMEANS_RESTARTS)]
+    starts = np.stack([_kmeans_plus_plus(x, x_norms, k, rng) for rng in seedings])
+    runs = zip(*_lloyd(x, x_norms, starts))
     return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
 
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import cemvc.clustering as clustering_module
 from cemvc.clustering import (
     KMEANS_RESTARTS,
     _kmeans_plus_plus,
+    _lloyd,
     _row_norms,
+    _squared_distances,
     _student_t,
     inertia,
     kmeans,
@@ -175,11 +178,13 @@ def test_kmeans_accepts_a_list_init_and_leaves_an_array_init_unwritten():
     assert init.tolist() == [[0.0, 0.0], [30.0, 30.0]]
 
 
-def best_of_the_seedings(x, k, base):
-    """The lowest-inertia (first of any ties) warm-started run over the k-means++
-    seedings drawn from default_rng((*base, r)), r < KMEANS_RESTARTS."""
+def best_of_the_seedings(x, k, base, lloyd=None):
+    """The lowest-inertia (first of any ties) run over the k-means++ seedings
+    drawn from default_rng((*base, r)), r < KMEANS_RESTARTS, each refined by
+    lloyd(start) (by default a warm-started kmeans)."""
+    lloyd = lloyd or (lambda start: kmeans(x, k, init=start))
     runs = [
-        kmeans(x, k, init=_kmeans_plus_plus(x, _row_norms(x), k, np.random.default_rng((*base, r))))
+        lloyd(_kmeans_plus_plus(x, _row_norms(x), k, np.random.default_rng((*base, r))))
         for r in range(KMEANS_RESTARTS)
     ]
     return min(runs, key=lambda run: inertia(x, *run))
@@ -209,6 +214,151 @@ def test_kmeans_seeds_once_per_restart_and_not_at_all_with_a_start(monkeypatch):
     assert len(calls) == KMEANS_RESTARTS
     kmeans(x, 3, init=centroids)
     assert len(calls) == KMEANS_RESTARTS
+
+
+def per_start_lloyd(x, x_norms, centroids):
+    """The reference Lloyd loop: one start, one numpy call per cluster.
+
+    It is the loop kmeans ran before its starts were stacked, with one
+    change: an empty cluster's reseed is skipped when the farthest point
+    already holds one of the iteration's new centroids. _lloyd must return
+    what this returns for every start, under ==. Returns the centroids, the
+    labels and the number of iterations run.
+    """
+    k = centroids.shape[0]
+    for iterations in range(1, clustering_module.KMEANS_MAX_ITER + 1):
+        labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
+        new_centroids = centroids.copy()
+        empty = []
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = x[members].mean(axis=0)
+            else:
+                empty.append(j)
+        for j in empty:
+            far = x[np.argmax(_squared_distances(x, x_norms, centroids[j : j + 1]).ravel())]
+            if not (new_centroids == far).all(axis=1).any():
+                new_centroids[j] = far
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < clustering_module.KMEANS_TOL:
+            break
+    labels = np.argmin(_squared_distances(x, x_norms, centroids), axis=1)
+    return centroids, labels, iterations
+
+
+def blobs(n, d, k, seed):
+    """n points around k overlapping Gaussian centers in d dimensions."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((k, d)) * 2.0
+    return centers[rng.integers(k, size=n)] + rng.standard_normal((n, d))
+
+
+def assert_equals_the_reference(x, starts):
+    """_lloyd on the stack `starts` returns, start by start, what per_start_lloyd does."""
+    x_norms = _row_norms(x)
+    centroids, labels = _lloyd(x, x_norms, starts)
+    iterations = []
+    for r, start in enumerate(starts):
+        expected_centroids, expected_labels, count = per_start_lloyd(x, x_norms, start)
+        assert (centroids[r] == expected_centroids).all()
+        assert (labels[r] == expected_labels).all()
+        iterations.append(count)
+    return iterations
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 300])
+@pytest.mark.parametrize("d", [1, 2, 8, 24, 32, 40])
+def test_kmeans_equals_the_per_start_reference(monkeypatch, d, max_iter):
+    monkeypatch.setattr(clustering_module, "KMEANS_MAX_ITER", max_iter)
+    for k in range(1, 7):
+        # n = 2400 at the benchmark's k: all eight seedings in one stack
+        for n in (k, 3 * k + 5, 200) + ((2400,) if k == 4 and max_iter == 300 else ()):
+            x = blobs(n, d, k, seed=(d, k, n))
+            seeded = kmeans(x, k, seed=(d, k))
+            expected = best_of_the_seedings(
+                x, k, (d, k), lambda start: per_start_lloyd(x, _row_norms(x), start)[:2]
+            )
+            assert (seeded[0] == expected[0]).all()
+            assert (seeded[1] == expected[1]).all()
+            start = x[np.random.default_rng((d, k, n)).choice(n, k, replace=False)] + 0.25
+            warm = kmeans(x, k, init=start)
+            expected = per_start_lloyd(x, _row_norms(x), start)
+            assert (warm[0] == expected[0]).all()
+            assert (warm[1] == expected[1]).all()
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 300])
+@pytest.mark.parametrize("d", [1, 2, 8, 32])
+def test_every_start_of_a_stack_ends_where_it_would_alone(monkeypatch, d, max_iter):
+    monkeypatch.setattr(clustering_module, "KMEANS_MAX_ITER", max_iter)
+    x = blobs(300, d, 3, seed=d)
+    good = x[[0, 1, 2]]
+    tie = good.copy()
+    tie[1] = tie[0]  # two identical centroids: every point ties, the first wins
+    stranded = good.copy()
+    stranded[2] = 1e3  # nearest to no point: an empty cluster in this start only
+    near = good + 1e-3  # converges at its own iteration
+    starts = np.stack([good, tie, stranded, near, good + 5.0])
+    iterations = assert_equals_the_reference(x, starts)
+    if max_iter == 300:
+        assert len(set(iterations)) > 1
+    # stacks of two, as at large n, give the same runs
+    monkeypatch.setattr(clustering_module, "_BLOCK_CELLS", 2 * 3 * 300)
+    assert_equals_the_reference(x, starts)
+
+
+def test_the_loops_distances_equal_the_per_start_ones_bit_for_bit(monkeypatch):
+    # _lloyd must hand _distances x.T as a view: with a contiguous copy of it,
+    # matmul takes another gemm path and some distances change in their last bits
+    real = clustering_module._distances
+    blocks = []
+
+    def checked(xt, x_norms, centers, dots, out):
+        got = real(xt, x_norms, centers, dots, out)
+        for r in range(centers.shape[0]):
+            assert (got[r] == _squared_distances(x, x_norms, centers[r]).T).all()
+        blocks.append(got.shape)
+        return got
+
+    monkeypatch.setattr(clustering_module, "_distances", checked)
+    rng = np.random.default_rng(20)
+    for d in range(1, 65):
+        k = 1 + d % 6
+        x = rng.standard_normal((int(rng.integers(k, 200)), d)) * rng.uniform(0.1, 10.0)
+        kmeans(x, k, seed=d)
+        kmeans(x, k, init=rng.standard_normal((k, d)))
+    assert any(shape[0] == KMEANS_RESTARTS for shape in blocks)
+
+
+SIX_ROWS = np.array([[0.0, 0.0]] * 3 + [[1.0, 2.0]] * 3)  # two distinct rows
+FIVE_ROWS_THRICE = np.repeat(np.arange(5.0)[:, None] * [1.0, -1.0], 3, axis=0)
+
+
+@pytest.mark.parametrize("x, k", [(SIX_ROWS, 3), (SIX_ROWS, 4), (FIVE_ROWS_THRICE, 6)])
+def test_kmeans_with_more_clusters_than_distinct_rows_settles(monkeypatch, x, k):
+    # a duplicate centroid empties; reseeding it onto a point that holds a
+    # centroid would empty it again and swap back every iteration
+    settled = kmeans(x, k, seed=0)
+    monkeypatch.setattr(clustering_module, "KMEANS_MAX_ITER", 3)
+    early = kmeans(x, k, seed=0)
+    assert (early[0] == settled[0]).all()
+    assert (early[1] == settled[1]).all()
+
+
+def test_kmeans_memory_at_large_n_stays_near_one_start():
+    # the per-start loop peaked at 3.8 MiB here; stacking may cost at most half again
+    x = blobs(20000, 8, 4, seed=21)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kmeans(x, 4, seed=0)
+        transient = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert transient < 1.5 * 3.8 * 2**20
 
 
 def test_soft_assign_near_centroid_takes_most_mass():

@@ -12,12 +12,18 @@ first hash covers the labels, soft labels, embedding, ACC, NMI, confusion
 table and every `RoundTrace` field. The second, `outcome`, covers only what
 the fit decides: labels, ACC, NMI, confusion table and round count. So a
 change that moves only the trace's or embedding's last bits shows equal
-outcomes while its first hash differs. The 36 fits are on `noisy3view`,
-seeds 0-2, clean and noisy: first the 24 of `bench.grid` with the preset
-config (`run_ablation`'s three modes and `run_shared_baseline`), then 12
-with a mini-batch config (`tolerance=0`, `max_outer_iters=3`,
-`batch_size=64`), `run_cemvc` and `run_shared_baseline`. To compare with a digest that lists its fits in
-another order, sort both: `diff <(sort a) <(sort b)`. Older copies of the
+outcomes while its first hash differs. The first 36 fits are on
+`noisy3view`, seeds 0-2, clean and noisy: first the 24 of `bench.grid`
+with the preset config (`run_ablation`'s three modes and
+`run_shared_baseline`), then 12 with a mini-batch config (`tolerance=0`,
+`max_outer_iters=3`, `batch_size=64`), `run_cemvc` and
+`run_shared_baseline`. The last 3 are `run_cemvc` fits shaped like the
+benchmark's `entropy-large-n`, seeds 0-2: n = 2400, three 6-d views at
+separation 1.5 plus a 20-d noise view, k = 4, 30 pretraining epochs, 10
+finetuning steps per round and exactly 4 rounds, so the unified k-means
+runs at d = 32 (the `noisy3view` fits reach d = 24 at most). To compare
+with a digest that lists its fits in another order, sort both:
+`diff <(sort a) <(sort b)`. Older copies of the
 tool print no outcome hash; compare their first hash with
 `diff <(cut -d' ' -f1-5 a) <(cut -d' ' -f1-5 b)`.
 """
@@ -43,7 +49,15 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cemvc.bench import PRESETS, VARIANTS, grid, preset_dataset  # noqa: E402
-from cemvc.pipeline import ClusteringResult, RoundTrace, run_cemvc, run_shared_baseline  # noqa: E402
+from cemvc.data import synth_multiview  # noqa: E402
+from cemvc.model import TrainConfig  # noqa: E402
+from cemvc.pipeline import (  # noqa: E402
+    ClusteringResult,
+    PipelineConfig,
+    RoundTrace,
+    run_cemvc,
+    run_shared_baseline,
+)
 
 SEEDS = range(3)
 
@@ -73,7 +87,7 @@ def outcome(result: ClusteringResult) -> str:
 
 
 def fits():
-    """(method, variant, seed, config, result) for each of the 36 fits."""
+    """(method, variant, seed, config, result) for each of the 39 fits."""
     preset = PRESETS["noisy3view"]
     for fit in grid(preset, len(SEEDS)):
         yield fit.method, fit.variant, fit.seed, "preset", fit.result
@@ -84,6 +98,13 @@ def fits():
             data = preset_dataset(preset, seed, variant == "noisy")
             yield mini.weighting_mode, variant, seed, "minibatch", run_cemvc(data, mini)
             yield "shared", variant, seed, "minibatch", run_shared_baseline(data, mini)
+    for seed in SEEDS:
+        data = synth_multiview(2400, 4, (6, 6, 6), (1.5, 1.5, 1.5), noise_dims=(20,), seed=seed)
+        cfg = PipelineConfig(
+            n_clusters=4, tolerance=0.0, max_outer_iters=4, seed=seed,
+            train=TrainConfig(pretrain_epochs=30, finetune_steps_per_round=10),
+        )
+        yield cfg.weighting_mode, "noisy", seed, "large-n", run_cemvc(data, cfg)
 
 
 def main() -> None:
