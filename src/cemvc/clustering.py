@@ -200,10 +200,27 @@ def kmeans(x, k: int, seed=0, init=None) -> tuple[np.ndarray, np.ndarray]:
     return min(runs, key=lambda run: inertia(x, *run))  # the first of any tied runs
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1, keepdims=True) of a C-contiguous (n, k) array, bit for bit.
+
+    Below 8 columns numpy adds a row's cells left to right, and so do these
+    k - 1 column adds, in about a quarter of the time of numpy's reduction,
+    which steps its iterator once per row. From 8 columns on numpy sums
+    pairwise, so the call is numpy's own.
+    """
+    k = a.shape[1]
+    if k < 2 or k >= 8:
+        return a.sum(axis=1, keepdims=True)
+    out = a[:, :1] + a[:, 1:2]
+    for j in range(2, k):
+        out += a[:, j : j + 1]
+    return out
+
+
 def _student_t(r: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Student-t kernel s = (1+d^2)^-1, its row sums and q = s / row sums."""
     s = 1.0 / (1.0 + _squared_distances(r, _row_norms(r), centroids))
-    row_sum = s.sum(axis=1, keepdims=True)
+    row_sum = _row_sums(s)
     return s, row_sum, s / row_sum
 
 
@@ -230,10 +247,10 @@ def soft_assign_input_grad(
     """
     s, row_sum, q = kernel
     # dL/ds_il = (g_il - sum_k g_ik q_ik) / S_i, then through s = 1/(1+d^2).
-    g_dot_q = (upstream * q).sum(axis=1, keepdims=True)
+    g_dot_q = _row_sums(upstream * q)
     d_s = (upstream - g_dot_q) / row_sum
     d_sqdist = -np.square(s) * d_s
-    return 2.0 * (d_sqdist.sum(axis=1, keepdims=True) * r - d_sqdist @ centroids)
+    return 2.0 * (_row_sums(d_sqdist) * r - d_sqdist @ centroids)
 
 
 def target_distribution(q) -> np.ndarray:

@@ -242,6 +242,10 @@ def backward(
     built with input_grad, else None.
     The relu mask uses the post-activations: relu(z) > 0 exactly when z > 0.
     The linear last layer never writes to the caller's loss gradient.
+    A bias gradient of width >= 2 is np.einsum("ij->j", delta): it adds the
+    rows in order, as np.sum(delta, axis=0) does, but in a quarter to a half
+    of its time, as numpy's axis-0 reduction steps its iterator once per row.
+    Width 1 keeps np.sum, which sums a contiguous column pairwise.
     """
     m = x.shape[0]
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
@@ -258,7 +262,11 @@ def backward(
             np.multiply(delta, mask, out=delta)
         inputs = work.acts[i - 1][:m] if i else x
         np.matmul(inputs.T, delta, out=work.grads[i].weight)
-        np.sum(delta, axis=0, out=work.grads[i].bias)
+        bias_grad = work.grads[i].bias
+        if bias_grad.size > 1:
+            np.einsum("ij->j", delta, out=bias_grad)
+        else:
+            np.sum(delta, axis=0, out=bias_grad)
         if work.deltas[i] is None:
             return work.grad, None
         delta = np.matmul(delta, net.layers[i].weight.T, out=work.deltas[i][:m])

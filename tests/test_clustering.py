@@ -13,6 +13,7 @@ from cemvc.clustering import (
     _kmeans_plus_plus,
     _lloyd,
     _row_norms,
+    _row_sums,
     _squared_distances,
     _student_t,
     inertia,
@@ -401,6 +402,16 @@ def test_soft_assign_rigid_translation_invariance():
     c = rng.standard_normal((4, 3))
     shift = np.array([5.0, -2.0, 0.5])
     assert soft_assign(r + shift, c + shift) == pytest.approx(soft_assign(r, c), abs=1e-12)
+
+
+# `_row_sums` adds the columns left to right below 8 of them, which is numpy's
+# own order there; a numpy release that changes it fails here first.
+@pytest.mark.parametrize("k", range(1, 13))
+def test_row_sums_equal_numpys_row_sums(k):
+    rng = np.random.default_rng((78, k))
+    for n in (1, 2, 7, 600, 2400):
+        a = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-6, 7, size=(n, k))
+        assert np.array_equal(_row_sums(a), a.sum(axis=1, keepdims=True))
 
 
 def test_soft_assign_input_grad_matches_finite_differences():

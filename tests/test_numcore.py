@@ -130,6 +130,39 @@ def test_backward_rejects_shape_mismatch():
         forward_backward(net, x, np.zeros((4, 99)))
 
 
+# backward takes a bias gradient of width >= 2 as np.einsum("ij->j", delta),
+# which promises nothing about its order of summation; training is bit-exact
+# only while it adds the rows in order, as np.sum(axis=0) does. A numpy
+# release that changes either order fails here first.
+BIAS_SUM_ROWS = sorted(
+    {*range(1, 18), *range(1, 3001, 7), *(2**p + e for p in range(5, 12) for e in (-1, 0, 1)), 2400, 3000}
+)
+
+
+@pytest.mark.parametrize("width", range(2, 65))
+def test_einsum_bias_sum_equals_numpys_axis_0_sum(width):
+    rng = np.random.default_rng((77, width))
+    # the workspace passes row slices [:m] of larger buffers
+    buffer = rng.standard_normal((3001, width)) * 10.0 ** rng.integers(-6, 7, size=(3001, 1))
+    for m in BIAS_SUM_ROWS:
+        delta = buffer[:m]
+        assert np.array_equal(np.einsum("ij->j", delta), np.sum(delta, axis=0))
+
+
+def test_backward_bias_gradients_equal_numpys_axis_0_sums():
+    net = small_net(seed=14, dims=(5, 7, 1, 4, 3), bias_jitter=0.4)
+    work = Workspace(net, 50, input_grad=True)
+    x = np.random.default_rng(15).standard_normal((37, 5))
+    forward(net, x, work)
+    loss_grad = np.random.default_rng(16).standard_normal((37, 3))
+    backward(net, x, loss_grad, work)
+    # layer i's bias gradient sums the masked delta left in deltas[i + 1];
+    # the last layer's sums the loss gradient, and layer 1's is one wide
+    deltas = [work.deltas[i][:37] for i in range(1, 4)] + [loss_grad]
+    for layer, delta in zip(work.grads, deltas):
+        assert np.array_equal(layer.bias, np.sum(delta, axis=0))
+
+
 @pytest.mark.parametrize("trial", range(6))
 def test_gradients_match_finite_differences(trial):
     # nets <= 3 layers, <= 16 units; bias jitter keeps pre-activations off
