@@ -5,7 +5,9 @@ density (Silverman bandwidths, resubstitution average of -log density).
 One row-block sweep gives the entropy of every view and of every pair of
 views, so memory stays O(n * block) and no pair of views is concatenated:
 under Silverman's rule a joint scaled distance is a weighted sum of the
-two marginal ones. Discrete quantities operate on hard label vectors via
+two marginal ones, so a joint kernel term is the product of two scaled
+marginal exponentials. Each view's distances come from one gemm on an
+augmented operand [z, -|z|^2 / 2, 1]. Discrete quantities operate on hard label vectors via
 contingency counts. All values are in nats.
 """
 
@@ -57,19 +59,6 @@ def _entropy_from_log_sums(log_sums: np.ndarray, h: np.ndarray) -> float:
     return float(-log_density.mean())
 
 
-def _scaled_distances(out: np.ndarray, dot: np.ndarray, z: np.ndarray, half_sq_norm: np.ndarray, rows, cols) -> None:
-    """-0.5 * max(|z_i - z_j|^2, 0) into `out` for rows i and columns j, with
-    `half_sq_norm` = 0.5 * |z|^2; `dot` is scratch of `out`'s shape.
-
-    Halving and doubling are exact, so given the same dot products this
-    rounds as the dense estimator's -0.5 * max((|z_i|^2 + |z_j|^2) - 2 z_i.z_j, 0)
-    does, in two fewer passes."""
-    np.add(half_sq_norm[rows, None], half_sq_norm[None, cols], out=out)
-    np.matmul(z[rows], z[cols].T, out=dot)
-    np.subtract(dot, out, out=out)
-    np.minimum(out, 0.0, out=out)
-
-
 def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out KDE entropy of each view and of each pair of views.
 
@@ -78,22 +67,37 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     whose (v, u) entry is the joint entropy of the column concatenation
     [view v, view u]; its diagonal is zero.
 
-    The n x n kernel matrices are never formed. Each view's scaled distances
-    S_v = -0.5 * max(D_v, 0), with each row's own sample at -inf, are made in
-    row blocks held by V + 2 buffers that every block reuses. Silverman's
-    joint bandwidth of a column of view v is its marginal one divided by a
-    constant, so a joint block is r_v * S_v + r_u * S_u with
-    r_v = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)), and no pair of
-    views is concatenated.
+    The n x n kernel matrices are never formed. Each view keeps one operand
+    C_v = [z, -0.5 |z|^2, 1] of its centered, bandwidth-scaled rows z, so its
+    scaled distances S_v = -0.5 * max(D_v, 0) = min(z_i.z_j - 0.5 |z_i|^2 -
+    0.5 |z_j|^2, 0) for a block of rows are one gemm, of those rows of C_v
+    with their last two columns swapped against C_v's columns, and one
+    minimum; each row's own sample is set to -inf. Silverman's joint
+    bandwidth of a column of view v is its marginal one divided by a
+    constant, so a joint exponent is r_vu * S_v + r_uv * S_u with
+    r_vu = (h_v / h_vu)^2 = n^(2/(4+d_v+d_u) - 2/(4+d_v)), and no pair of
+    views is concatenated. Its kernel term is the product
+    exp(r_vu * S_v) * exp(r_uv * S_u), so each view needs one scaled
+    exponential per distinct ratio (one when all views have one width), and
+    a joint's row and column sums are each one np.einsum sum of products
+    of two scaled planes; no joint block is stored.
+
+    A block is a stack of planes, the scaled exponentials and then the
+    marginal kernels exp(S_v), held by one buffer of 2 * _BLOCK_CELLS cells
+    (less what the per-row arrays take, but at least _BLOCK_CELLS) that
+    every block reuses. One np.exp call covers every plane, and one
+    reduction each gives the row sums and the column sums of the marginals.
 
     The kernel term exp(S(i, j)) is the same in row i's sum and in row j's,
     so the sweep is triangular: row block [s, e) is scored only against
     columns [s, n). Its row sums go to rows s..e-1, and its column sums over
-    columns e..n-1 go to those later rows. Every S is <= 0, so the terms are
-    summed with no shift, and each log-sum is the log of its sum. A row
-    whose sum for any quantity is below TINY_SUM (a nearest neighbour more
-    than about 575 nats away, where the terms lose precision or underflow)
-    is done again against all n columns with the shifted `_logsumexp_rows`.
+    columns e..n-1 go to those later rows. Every exponent is <= 0, so the
+    terms are summed with no shift, and each log-sum is the log of its sum.
+    A row whose sum for any quantity is below TINY_SUM (a nearest neighbour
+    more than about 575 nats away, where the terms lose precision or
+    underflow) is done again against all n columns in the log domain: the
+    shifted `_logsumexp_rows` of S_v, or of the joint exponent
+    r_vu * S_v + r_uv * S_u, never of a product.
 
     The sums are added in another order than the dense n x n estimator's,
     so every value, marginal or joint, is within a relative 1e-12 of it.
@@ -105,59 +109,88 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     dims = [m.shape[1] for m in mats]
     sigmas = [_floored_sigma(m) for m in mats]
     hs = [_silverman(sigma, n, d) for sigma, d in zip(sigmas, dims)]
-    # Centering is a no-op for the estimator but keeps the pairwise
-    # distances well conditioned for large offsets.
-    zs = [(m - m.mean(axis=0)) / h for m, h in zip(mats, hs)]
-    half_sq_norms = [0.5 * np.einsum("ij,ij->i", z, z) for z in zs]
+    operands, row_orders = [], []
+    for m, h, d in zip(mats, hs, dims):
+        op = np.empty((n, d + 2))
+        z = op[:, :d]
+        # Centering is a no-op for the estimator but keeps the pairwise
+        # distances well conditioned for large offsets.
+        np.subtract(m, m.mean(axis=0), out=z)
+        z /= h
+        op[:, d] = -0.5 * np.einsum("ij,ij->i", z, z)
+        op[:, d + 1] = 1.0
+        operands.append(op)
+        row_orders.append(np.r_[:d, d + 1, d])  # the row side's last two columns swapped
     pairs = list(combinations(range(n_views), 2))
 
     def ratio(v, u):
         return n ** (2.0 / (4.0 + dims[v] + dims[u]) - 2.0 / (4.0 + dims[v]))
 
-    # The block buffers get what the per-row arrays (z, norms, sums) leave
-    # of 2 * _BLOCK_CELLS cells, but never less than half of it: at large n
+    # plane f holds exp(c * S_v) for the f-th distinct (v, c); the marginal
+    # planes follow, in view order
+    scaled: dict[tuple[int, float], int] = {}
+    for v, u in pairs:
+        scaled.setdefault((v, ratio(v, u)), len(scaled))
+        scaled.setdefault((u, ratio(u, v)), len(scaled))
+    factors = [(scaled[v, ratio(v, u)], scaled[u, ratio(u, v)]) for v, u in pairs]
+    first = len(scaled)  # the first marginal plane
+    n_planes = first + n_views
+
+    # The planes get what the per-row arrays (operands, sums) leave of
+    # 2 * _BLOCK_CELLS cells, but never less than half of it: at large n
     # the per-row arrays dominate memory anyway, and thinner blocks would
     # only add per-block overhead.
-    row_cells = (sum(dims) + 2 * n_views + len(pairs)) * n
+    row_cells = (sum(dims) + 3 * n_views + 2 * len(pairs)) * n
     block_cells = max(2 * _BLOCK_CELLS - row_cells, _BLOCK_CELLS)
-    rows = max(1, min(n, block_cells // ((n_views + 2) * n)))
-    # one buffer per view, a product buffer and a joint buffer, so the
-    # allocator is not asked for fresh pages per block
-    buffers = np.empty((n_views + 2, rows * n))
+    rows = max(1, min(n, block_cells // (n_planes * n)))
+    # one buffer for every block, so the allocator is not asked for fresh
+    # pages per block
+    buffer = np.empty(n_planes * rows * n)
 
     def exponents(row_idx, start, own):
-        """Yield (q, S_q) from rows `row_idx` to columns start..n-1, first for the
-        joints of `pairs` (q = V + p), then for the V marginals (q = v), with
-        row k's own sample, column `own[k]`, at -inf. The joints are made
-        from the marginal blocks, so the caller may overwrite what it gets."""
+        """The planes for rows `row_idx` against columns start..n-1, with S_v
+        in marginal plane v and row k's own sample, column `own[k]`, at -inf."""
         r, w = len(own), n - start
-        blocks = buffers[:, : r * w].reshape(-1, r, w)
-        dot, joint = blocks[n_views], blocks[n_views + 1]
-        for v in range(n_views):
-            _scaled_distances(blocks[v], dot, zs[v], half_sq_norms[v], row_idx, slice(start, None))
-            blocks[v][np.arange(r), own] = -np.inf
-        for p, (v, u) in enumerate(pairs):
-            np.multiply(blocks[v], ratio(v, u), out=joint)
-            np.multiply(blocks[u], ratio(u, v), out=dot)
-            joint += dot
-            yield n_views + p, joint
-        for v in range(n_views):
-            yield v, blocks[v]
+        planes = buffer[: n_planes * r * w].reshape(n_planes, r, w)
+        s_planes = planes[first : first + n_views]
+        for op, order, out in zip(operands, row_orders, s_planes):
+            np.matmul(op[row_idx][:, order], op[start:].T, out=out)
+        np.minimum(s_planes, 0.0, out=s_planes)
+        s_planes[:, np.arange(r), own] = -np.inf
+        return planes
 
     sums = np.zeros((n_views + len(pairs), n))
+    joint_rows, joint_cols = np.empty((len(pairs), rows)), np.empty((len(pairs), n))
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        for q, block in exponents(slice(s, e), s, np.arange(e - s)):
-            np.exp(block, out=block)
-            sums[q, s:e] += block.sum(axis=1)
-            sums[q, e:] += block[:, e - s :].sum(axis=0)
+        planes = exponents(slice(s, e), s, np.arange(e - s))
+        for (v, c), f in scaled.items():
+            np.multiply(planes[first + v], c, out=planes[f])
+        np.exp(planes[: first + n_views], out=planes[: first + n_views])
+        kernels = planes[first:]
+        sums[:n_views, s:e] += kernels.sum(axis=2)
+        sums[:n_views, e:] += kernels[:, :, e - s :].sum(axis=1)
+        row_sums, col_sums = joint_rows[:, : e - s], joint_cols[:, : n - e]
+        for p, (f, g) in enumerate(factors):
+            np.einsum("ij,ij->i", planes[f], planes[g], out=row_sums[p])
+            np.einsum("ij,ij->j", planes[f][:, e - s :], planes[g][:, e - s :], out=col_sums[p])
+        sums[n_views:, s:e] += row_sums
+        sums[n_views:, e:] += col_sums
     redo = np.flatnonzero((sums < TINY_SUM).any(axis=0))
     sums[:, redo] = 1.0  # their logs are overwritten below
     log_sums = np.log(sums, out=sums)
     for s in range(0, redo.size, rows):
         idx = redo[s : s + rows]
-        for q, block in exponents(idx, 0, idx):
-            log_sums[q, idx] = _logsumexp_rows(block)
+        planes = exponents(idx, 0, idx)
+        s_planes = planes[first : first + n_views]
+        for p, (v, u) in enumerate(pairs):
+            exponent, other = planes[:2]  # scaled planes: a pair has two
+            np.multiply(s_planes[v], ratio(v, u), out=exponent)
+            np.multiply(s_planes[u], ratio(u, v), out=other)
+            exponent += other
+            log_sums[n_views + p, idx] = _logsumexp_rows(exponent)
+        for v in range(n_views):
+            log_sums[v, idx] = _logsumexp_rows(s_planes[v])
     marginal = np.array([_entropy_from_log_sums(log_sums[v], h) for v, h in enumerate(hs)])
     joint = np.zeros((n_views, n_views))
     for p, (v, u) in enumerate(pairs):

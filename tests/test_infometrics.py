@@ -240,6 +240,13 @@ def test_total_conditional_entropy_equals_dense_reference_on_four_views():
     assert_matches_dense_reference([_normal(300, d, 31 + d) for d in (1, 2, 3, 5)])
 
 
+def clustered_views(n, dims, seed, k=4):
+    """Views of n rows around k shared clusters, one seeded set of centers per view."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % k
+    return [3.0 * rng.standard_normal((k, d))[labels] + rng.standard_normal((n, d)) for d in dims]
+
+
 VIEW_CASES = {
     "constant_column": lambda: [
         np.hstack([_normal(200, 2, 40), np.full((200, 1), 0.1)]),
@@ -252,6 +259,17 @@ VIEW_CASES = {
     # only the first view's far row takes the shifted path, in its marginal
     # and in both of its joints
     "far_row_in_one_view": lambda: [FAR_ROW_CASES["d1_one_row_at_1e4"](), _normal(1001, 2, 48)],
+    # the pipeline's shape: four clustered latents of one width, over many blocks
+    "n2400_four_clustered_8d": lambda: clustered_views(2400, (8, 8, 8, 8), 49),
+    # view 0 pairs with a view of its width and one of another, so it needs
+    # two scaled exponentials
+    "dims_8_8_3": lambda: clustered_views(600, (8, 8, 3), 50),
+    # equal widths: the far row's joint is redone from its log-domain
+    # exponent while every other row's is a product of scaled exponentials
+    "far_row_in_one_of_two_equal_width_views": lambda: [
+        isolated_rows(800, 2, np.array([[1e4, 0.0]]), 51),
+        _normal(801, 2, 52),
+    ],
 }
 
 
@@ -263,12 +281,14 @@ def test_view_entropies_match_dense_reference(case):
 
 
 def test_view_entropies_agree_across_block_sizes(monkeypatch):
-    # With 4 views a block takes (4 + 2) * n cells per row, so these give
-    # blocks of 1 row, 3 rows, the default's 286 rows and all 301 rows.
+    # Four views of distinct widths need 3 scaled exponentials each, so a
+    # block row takes (12 + 4) * n cells, and the per-row arrays take
+    # (11 + 3 * 4 + 2 * 6) * n. A budget B gives max(2B - 35n, B) // 16n rows,
+    # so these give blocks of 1 row, 3 rows, the default's 106 rows and all 301.
     n = 301
     views = [_normal(n, d, 70 + d) for d in (1, 2, 3, 5)]
     results = []
-    for block_cells in (1, 3 * 6 * n, infometrics._BLOCK_CELLS, 6 * n * n):
+    for block_cells in (1, 45 * n, infometrics._BLOCK_CELLS, 16 * n * n):
         monkeypatch.setattr(infometrics, "_BLOCK_CELLS", block_cells)
         results.append(infometrics._view_entropies(views))
     for marginal, joint in results:
