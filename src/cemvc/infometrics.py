@@ -7,8 +7,8 @@ views, so memory stays O(n * block) and no pair of views is concatenated:
 under Silverman's rule a joint scaled distance is a weighted sum of the
 two marginal ones, so a joint kernel term is the product of two scaled
 marginal exponentials. Each view's distances come from one gemm on an
-augmented operand [z, -|z|^2 / 2, 1]. Discrete quantities operate on hard label vectors via
-contingency counts. All values are in nats.
+augmented operand [z, -|z|^2 / 2, 1]. Discrete quantities operate on hard
+label vectors via contingency counts. All values are in nats.
 """
 
 from __future__ import annotations

@@ -150,15 +150,16 @@ def test_einsum_bias_sum_equals_numpys_axis_0_sum(width):
 
 
 def test_backward_bias_gradients_equal_numpys_axis_0_sums():
-    net = small_net(seed=14, dims=(5, 7, 1, 4, 3), bias_jitter=0.4)
-    work = Workspace(net, 50, input_grad=True)
-    x = np.random.default_rng(15).standard_normal((37, 5))
+    # the last layer is one wide, so its bias gradient takes the np.sum path
+    net = small_net(seed=14, dims=(5, 7, 4, 1), bias_jitter=0.4)
+    work = Workspace(net, 400, input_grad=True)
+    x = np.random.default_rng(15).standard_normal((300, 5))
     forward(net, x, work)
-    loss_grad = np.random.default_rng(16).standard_normal((37, 3))
+    loss_grad = np.random.default_rng(16).standard_normal((300, 1))
     backward(net, x, loss_grad, work)
-    # layer i's bias gradient sums the masked delta left in deltas[i + 1];
-    # the last layer's sums the loss gradient, and layer 1's is one wide
-    deltas = [work.deltas[i][:37] for i in range(1, 4)] + [loss_grad]
+    # layer i's bias gradient sums the masked delta left in deltas[i + 1],
+    # and the last layer's sums the loss gradient
+    deltas = [work.deltas[1][:300], work.deltas[2][:300], loss_grad]
     for layer, delta in zip(work.grads, deltas):
         assert np.array_equal(layer.bias, np.sum(delta, axis=0))
 
