@@ -161,8 +161,12 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
 
     sums = np.zeros((n_views + len(pairs), n))
     joint_rows, joint_cols = np.empty((len(pairs), rows)), np.empty((len(pairs), n))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
+
+    # A function of its own: under tracemalloc each allocation looks up its
+    # line number, at a cost that grows with the call's offset in its
+    # function, and a block allocates on every numpy call.
+    def add_block(s, e):
+        """Add the kernel sums of rows s..e-1 against columns s..n-1 to `sums`."""
         planes = exponents(slice(s, e), s, np.arange(e - s))
         for (v, c), f in scaled.items():
             np.multiply(planes[first + v], c, out=planes[f])
@@ -176,6 +180,9 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
             np.einsum("ij,ij->j", planes[f][:, e - s :], planes[g][:, e - s :], out=col_sums[p])
         sums[n_views:, s:e] += row_sums
         sums[n_views:, e:] += col_sums
+
+    for s in range(0, n, rows):
+        add_block(s, min(s + rows, n))
     redo = np.flatnonzero((sums < TINY_SUM).any(axis=0))
     sums[:, redo] = 1.0  # their logs are overwritten below
     log_sums = np.log(sums, out=sums)
