@@ -136,10 +136,10 @@ def _view_entropies(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     first = len(scaled)  # the first marginal plane
     n_planes = first + n_views
 
-    # The planes get what the per-row arrays (operands, sums) leave of
-    # 2 * _BLOCK_CELLS cells, but never less than half of it: at large n
-    # the per-row arrays dominate memory anyway, and thinner blocks would
-    # only add per-block overhead.
+    # The planes get what the per-row arrays (operands, sums, joint column
+    # sums) leave of 2 * _BLOCK_CELLS cells, but never less than half of it:
+    # at large n the per-row arrays dominate memory anyway, and thinner
+    # blocks would only add per-block overhead.
     row_cells = (sum(dims) + 3 * n_views + 2 * len(pairs)) * n
     block_cells = max(2 * _BLOCK_CELLS - row_cells, _BLOCK_CELLS)
     rows = max(1, min(n, block_cells // (n_planes * n)))
